@@ -6,7 +6,7 @@ The package splits into:
   domain with decidable equality.
 * :mod:`iterk.tables` -- exhaustive exact analysis over finite domains
   (permutation structure, involutory orders, induced involutions,
-  enumeration and counting), with numba-accelerated kernels.
+  enumeration and counting), with vectorised numpy kernels.
 * :mod:`iterk.exactnum` -- exact rationals and roots-of-unity arithmetic.
 * :mod:`iterk.affine` -- exact matrix treatment of affine maps and their
   closed-form iterates.

@@ -1,297 +1,141 @@
-"""Hot inner loops for exhaustive table analysis.
+"""Vectorised numpy kernels for exhaustive table analysis.
 
-Every kernel exists twice: a plain loop implementation that numba can
-compile in nopython mode, and a numpy fallback.  The compiled path is used
-when numba imports cleanly and the environment variable
-``ITERK_DISABLE_NUMBA`` is unset (or "0"); otherwise the fallback path is
-selected.  ``benchmarks/bench_kernels.py`` compares the two.
-
-Array conventions: tables are flat int64 arrays of length m**k in row-major
-order (last argument fastest); permutations are int64 arrays over state
-indices.
+Tables are int64 arrays of m**k entries in row-major order (last argument
+fastest), batched as ``[N, m**k]``.  The row-major index of k consecutive
+sequence terms is a state index and also the table index of the next term,
+so the order-k recurrence a_{n+k} = f(a_n, ..., a_{n+k-1}) acts on window
+indices as a shift register: :func:`_step` is its only index arithmetic, and
+the first iterate is k steps of it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+#: No compiled path exists; kept because environment records report it.
+NUMBA_ACTIVE = False
 
-def _numba_requested() -> bool:
-    return os.environ.get("ITERK_DISABLE_NUMBA", "0") not in ("1", "true", "yes")
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (nopython-compatible)
-
-def _table_perm_impl(entries, m, k):
-    # realize the first iterate of a table as a map on state indices
-    n_states = 1
-    for _ in range(k):
-        n_states *= m
-    perm = np.empty(n_states, np.int64)
-    hits = np.zeros(n_states, np.int64)
-    digits = np.empty(k, np.int64)
-    out = np.empty(k, np.int64)
-    for s in range(n_states):
-        r = s
-        for i in range(k - 1, -1, -1):
-            digits[i] = r % m
-            r //= m
-        for j in range(k):
-            flat = 0
-            for t in range(k):
-                p = j + t
-                v = digits[p] if p < k else out[p - k]
-                flat = flat * m + v
-            out[j] = entries[flat]
-        img = 0
-        for i in range(k):
-            img = img * m + out[i]
-        perm[s] = img
-        hits[img] += 1
-    injective = True
-    for i in range(n_states):
-        if hits[i] > 1:
-            injective = False
-            break
-    return perm, injective
-
-
-def _involution_scan_impl(m):
-    # count self-maps g on m points with g(g(x)) == x, by full enumeration
-    g = np.zeros(m, np.int64)
-    total = 1
-    for _ in range(m):
-        total *= m
-    count = 0
-    for _i in range(total):
-        ok = True
-        for x in range(m):
-            if g[g[x]] != x:
-                ok = False
-                break
-        if ok:
-            count += 1
-        pos = m - 1
-        while pos >= 0:
-            g[pos] += 1
-            if g[pos] < m:
-                break
-            g[pos] = 0
-            pos -= 1
-    return count
-
-
-def _ii_filter_impl(tables, m, k):
-    # tables: [n_cand, m**k]; keep candidates whose induced map in every
-    # argument position >= 2 is an involution for every frozen context
-    # (position 1 is guaranteed by construction)
-    n_cand = tables.shape[0]
-    n_states = tables.shape[1]
-    ok = np.ones(n_cand, np.bool_)
-    for c in range(n_cand):
-        good = True
-        for axis in range(1, k):
-            stride = 1
-            for _ in range(k - 1 - axis):
-                stride *= m
-            for p in range(n_states):
-                if (p // stride) % m == 0:
-                    for t in range(m):
-                        u = tables[c, p + t * stride]
-                        if tables[c, p + u * stride] != t:
-                            good = False
-                            break
-                    if not good:
-                        break
-            if not good:
-                break
-        ok[c] = good
-    return ok
-
-
-def _cycle_sweep_impl(m, k):
-    # For every table on m symbols with k arguments whose first iterate is a
-    # bijection of the state space, and for every state: measure the state
-    # period n and the minimal period j of the element sequence seeded there,
-    # then tally how n and j relate.
-    # Returns int64 tallies:
-    #   [0] tables visited          [1] tables with bijective first iterate
-    #   [2] cyclic states checked   [3] states with n != j/gcd(j,k)
-    #   [4] states with j | n       [5] states with j not dividing n
-    #   [6] states with j not dividing n*k
-    n_states = 1
-    for _ in range(k):
-        n_states *= m
-    n_tables = 1
-    for _ in range(n_states):
-        n_tables *= m
-    entries = np.zeros(n_states, np.int64)
-    perm = np.empty(n_states, np.int64)
-    hits = np.empty(n_states, np.int64)
-    period = np.empty(n_states, np.int64)
-    visited = np.empty(n_states, np.bool_)
-    digits = np.empty(k, np.int64)
-    out = np.empty(k, np.int64)
-    seq = np.empty(2 * n_states * k, np.int64)
-    tallies = np.zeros(7, np.int64)
-    for _tab in range(n_tables):
-        tallies[0] += 1
-        for i in range(n_states):
-            hits[i] = 0
-        for s in range(n_states):
-            r = s
-            for i in range(k - 1, -1, -1):
-                digits[i] = r % m
-                r //= m
-            for j in range(k):
-                flat = 0
-                for t in range(k):
-                    p = j + t
-                    v = digits[p] if p < k else out[p - k]
-                    flat = flat * m + v
-                out[j] = entries[flat]
-            img = 0
-            for i in range(k):
-                img = img * m + out[i]
-            perm[s] = img
-            hits[img] += 1
-        bijective = True
-        for i in range(n_states):
-            if hits[i] != 1:
-                bijective = False
-                break
-        if bijective:
-            tallies[1] += 1
-            for i in range(n_states):
-                visited[i] = False
-            for s in range(n_states):
-                if not visited[s]:
-                    ln = 0
-                    c = s
-                    while True:
-                        c = perm[c]
-                        ln += 1
-                        if c == s:
-                            break
-                    c = s
-                    for _ in range(ln):
-                        period[c] = ln
-                        visited[c] = True
-                        c = perm[c]
-            for s in range(n_states):
-                n_p = period[s]
-                tallies[2] += 1
-                r = s
-                for i in range(k - 1, -1, -1):
-                    seq[i] = r % m
-                    r //= m
-                full = n_p * k
-                for i in range(k, 2 * full):
-                    flat = 0
-                    for t in range(k):
-                        flat = flat * m + seq[i - k + t]
-                    seq[i] = entries[flat]
-                jmin = full
-                for d in range(1, full + 1):
-                    if full % d == 0:
-                        okd = True
-                        for i in range(full):
-                            if seq[i] != seq[i + d]:
-                                okd = False
-                                break
-                        if okd:
-                            jmin = d
-                            break
-                a = jmin
-                b = k
-                while b:
-                    a, b = b, a % b
-                if n_p != jmin // a:
-                    tallies[3] += 1
-                if n_p % jmin == 0:
-                    tallies[4] += 1
-                else:
-                    tallies[5] += 1
-                if (n_p * k) % jmin != 0:
-                    tallies[6] += 1
-        pos = n_states - 1
-        while pos >= 0:
-            entries[pos] += 1
-            if entries[pos] < m:
-                break
-            entries[pos] = 0
-            pos -= 1
-    return tallies
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks for the kernels whose plain-loop form would be slow when
-# interpreted
-
+# elements per batch, so batched intermediates stay at a few MB
 _CHUNK = 1 << 17
 
 
-def _involution_scan_numpy(m):
+def digits(start, stop, base, width):
+    """Rows of the base-``base`` digits of start..stop-1, most significant first."""
+    out = np.empty((stop - start, width), np.int64)
+    r = np.arange(start, stop, dtype=np.int64)
+    for pos in range(width - 1, -1, -1):
+        out[:, pos] = r % base
+        r //= base
+    return out
+
+
+def _step(tables, w, m, k):
+    # one recurrence term: the next term is the table at the window, and the
+    # window drops its oldest term and takes that one on
+    term = np.take_along_axis(tables, w, axis=1)
+    return w % m ** (k - 1) * m + term, term
+
+
+def _first_iterate(tables, m, k):
+    w = np.broadcast_to(np.arange(tables.shape[1]), tables.shape)
+    for _ in range(k):
+        w, _ = _step(tables, w, m, k)
+    return w
+
+
+def _is_bijective(perms):
+    hit = np.zeros(perms.shape, bool)
+    np.put_along_axis(hit, perms, True, axis=1)
+    return hit.all(axis=1)
+
+
+def induced_power(tables, m, k, axis, n):
+    """n-th power of the self-maps that ``tables`` induce in argument ``axis``
+    (0-based), as ``[N, m**(k-1), m]`` with one row per frozen context."""
+    grid = tables.reshape((tables.shape[0],) + (m,) * k)
+    maps = np.moveaxis(grid, 1 + axis, -1).reshape(tables.shape[0], -1, m)
+    power = maps
+    for _ in range(n - 1):
+        power = np.take_along_axis(maps, power, axis=2)
+    return power
+
+
+def table_perm(entries, m, k):
+    """First iterate of one table as a map on state indices, and whether it
+    is injective."""
+    perm = _first_iterate(np.asarray(entries).reshape(1, -1), m, k)
+    return perm[0], bool(_is_bijective(perm)[0])
+
+
+def involution_scan(m):
+    """Count self-maps g on m points with g(g(x)) == x, by full enumeration."""
     total = m**m
-    points = np.arange(m)
+    rows = max(1, _CHUNK // m)
     count = 0
-    for start in range(0, total, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = np.empty((ids.shape[0], m), np.int64)
-        r = ids
-        for pos in range(m - 1, -1, -1):
-            digits[:, pos] = r % m
-            r = r // m
-        gg = np.take_along_axis(digits, digits, axis=1)
-        count += int((gg == points).all(axis=1).sum())
+    for start in range(0, total, rows):
+        g = digits(start, min(start + rows, total), m, m)
+        count += int((induced_power(g, m, 1, 0, 2) == np.arange(m)).all(axis=(1, 2)).sum())
     return count
 
 
-def _ii_filter_numpy(tables, m, k):
-    n_cand = tables.shape[0]
-    ok = np.ones(n_cand, bool)
-    view = tables.reshape((n_cand,) + (m,) * k)
-    points = np.arange(m)
+def ii_filter(tables, m, k):
+    """Mask of the candidate tables whose induced map in every argument
+    position >= 2 is an involution for every frozen context (position 1 is
+    guaranteed by construction)."""
+    ok = np.ones(tables.shape[0], bool)
     for axis in range(1, k):
-        moved = np.moveaxis(view, 1 + axis, -1).reshape(n_cand, -1, m)
-        gg = np.take_along_axis(moved, moved, axis=2)
-        ok &= (gg == points).all(axis=(1, 2))
+        ok &= (induced_power(tables, m, k, axis, 2) == np.arange(m)).all(axis=(1, 2))
     return ok
 
 
-# ---------------------------------------------------------------------------
-# kernel selection
+def cycle_sweep(m, k):
+    """Tally how state periods n and sequence periods j relate over every
+    table on m symbols with k arguments.
 
-NUMBA_ACTIVE = False
-
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        table_perm = njit(cache=True)(_table_perm_impl)
-        involution_scan = njit(cache=True)(_involution_scan_impl)
-        ii_filter = njit(cache=True)(_ii_filter_impl)
-        cycle_sweep = njit(cache=True)(_cycle_sweep_impl)
-        NUMBA_ACTIVE = True
-
-if not NUMBA_ACTIVE:
-    table_perm = _table_perm_impl
-    involution_scan = _involution_scan_numpy
-    ii_filter = _ii_filter_numpy
-    cycle_sweep = _cycle_sweep_impl
-
-
-def warmup() -> None:
-    """Trigger jit compilation on tiny inputs so timed paths run hot."""
-    if not NUMBA_ACTIVE:
-        return
-    tiny = np.zeros(2, np.int64)
-    table_perm(tiny, 2, 1)
-    involution_scan(1)
-    ii_filter(np.zeros((1, 4), np.int64), 2, 2)
-    cycle_sweep(1, 1)
+    For each table whose first iterate is a bijection and each state, n is
+    the state's period under the first iterate and j the minimal period of
+    the sequence seeded there.  Returns int64 tallies:
+      [0] tables visited          [1] tables with bijective first iterate
+      [2] cyclic states checked   [3] states with n != j/gcd(j,k)
+      [4] states with j | n       [5] states with j not dividing n
+      [6] states with j not dividing n*k
+    """
+    n_states = m**k
+    total = m**n_states
+    # each sequence is purely periodic with period n*k <= width, so shifts
+    # d <= width compared over width terms find j
+    width = n_states * k
+    rows = max(1, _CHUNK // (2 * width * n_states))
+    states = np.arange(n_states)
+    tallies = np.zeros(7, np.int64)
+    for start in range(0, total, rows):
+        tabs = digits(start, min(start + rows, total), m, n_states)
+        perm = _first_iterate(tabs, m, k)
+        bijective = _is_bijective(perm)
+        tabs, perm = tabs[bijective], perm[bijective]
+        n = np.zeros_like(perm)
+        power = perm
+        for p in range(1, n_states + 1):
+            n[(n == 0) & (power == states)] = p
+            if n.all():
+                break
+            power = np.take_along_axis(perm, power, axis=1)
+        seq = np.empty((2 * width,) + perm.shape, np.int64)
+        w = np.broadcast_to(states, perm.shape)
+        for i in range(2 * width):
+            w, seq[i] = _step(tabs, w, m, k)
+        j = np.zeros_like(perm)
+        for d in range(1, width + 1):
+            j[(j == 0) & (seq[:width] == seq[d : d + width]).all(axis=0)] = d
+            if j.all():
+                break
+        tallies += [
+            bijective.size,
+            tabs.shape[0],
+            n.size,
+            (n != j // np.gcd(j, k)).sum(),
+            (n % j == 0).sum(),
+            (n % j != 0).sum(),
+            (n * k % j != 0).sum(),
+        ]
+    return tallies

@@ -135,8 +135,14 @@ def _map_and_seed(args) -> tuple:
 
 
 def _cmd_iterate(args) -> int:
-    fmap, seed = _map_and_seed(args)
-    result = engine.iterate(fmap, seed, args.n)
+    if args.n < 0:
+        raise ValueError(f"iterate count must be >= 0, got {args.n}")
+    if args.map_def is None:
+        # a table's orbit closes within m**k steps, so any n costs at most that
+        t = tables.load_table(args.table)
+        result = tables.table_iterate(t, _table_seed(args, t), args.n)
+    else:
+        result = engine.iterate(*_map_and_seed(args), args.n)
     _emit(args, [_render_state(result)], {"state": [_render_scalar(v) for v in result]})
     return EXIT_OK
 

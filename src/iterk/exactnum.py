@@ -59,7 +59,8 @@ def _poly_div_int(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, dj in enumerate(den):
                 num[i - dd + j] -= c * dj
-    assert all(c == 0 for c in num[:dd]), "non-exact polynomial division"
+    if any(num[:dd]):
+        raise RuntimeError("non-exact polynomial division")
     return out
 
 

@@ -256,21 +256,6 @@ def table_iterate(t: FiniteTable, state: Sequence[int], n: int) -> tuple[int, ..
 # ---------------------------------------------------------------------------
 # induced involutions, symmetry
 
-def _contexts(m: int, count: int) -> Iterator[tuple[int, ...]]:
-    ctx = [0] * count
-    while True:
-        yield tuple(ctx)
-        pos = count - 1
-        while pos >= 0:
-            ctx[pos] += 1
-            if ctx[pos] < m:
-                break
-            ctx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-
-
 def is_induced_involutory(
     t: FiniteTable, n: int, j: int | None = None, budget: int | None = None
 ) -> bool:
@@ -285,25 +270,11 @@ def is_induced_involutory(
     if j is not None and not 1 <= j <= t.k:
         raise ValueError(f"argument position {j} out of range 1..{t.k}")
     _check_state_budget(t, budget)
-    positions = [j - 1] if j is not None else list(range(t.k))
-    entries, m, k = t.entries, t.m, t.k
-    for pos in positions:
-        stride = m ** (k - 1 - pos)
-        for ctx in _contexts(m, k - 1):
-            base = 0
-            ci = 0
-            for axis in range(k):
-                base *= m
-                if axis != pos:
-                    base += ctx[ci]
-                    ci += 1
-            for x in range(m):
-                v = x
-                for _ in range(n):
-                    v = int(entries[base + v * stride])
-                if v != x:
-                    return False
-    return True
+    positions = [j - 1] if j is not None else range(t.k)
+    return all(
+        (_kernels.induced_power(t.entries[None], t.m, t.k, pos, n) == np.arange(t.m)).all()
+        for pos in positions
+    )
 
 
 def is_symmetric(t: FiniteTable) -> bool:
@@ -430,7 +401,8 @@ def count_involutions(m: int) -> int:
         a, b = b, b + (i - 1) * a
     if m <= 5:
         brute = count_involutions_brute(m)
-        assert brute == b, f"recursion {b} != brute force {brute} at m={m}"
+        if brute != b:
+            raise RuntimeError(f"recursion {b} != brute force {brute} at m={m}")
     return b
 
 
@@ -494,12 +466,7 @@ def enumerate_ii_tables(
     chunk = 1 << 15
     base = invs.shape[0]
     for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        choice = np.empty((ids.shape[0], n_ctx), np.int64)
-        r = ids
-        for pos in range(n_ctx - 1, -1, -1):
-            choice[:, pos] = r % base
-            r = r // base
+        choice = _kernels.digits(start, min(start + chunk, total), base, n_ctx)
         # tables[c, x1 * n_ctx + ctx] = chosen involution for ctx evaluated at x1
         tabs = invs[choice].transpose(0, 2, 1).reshape(-1, n_states)
         tabs = np.ascontiguousarray(tabs)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -47,6 +48,20 @@ class TestIterate:
             capsys, "iterate", "--table", table_path, "--seed", "0,1", "--n", "1"
         )
         assert code == 0 and out.strip() == "1 2"
+
+    def test_table_long_run_shortcuts_through_the_cycle(self, capsys, table_path):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "iterate", "--table", table_path, "--seed", "0,1", "--n", "100000000"
+        )
+        assert code == 0 and out.strip() == "0 1"
+        assert time.perf_counter() - start < 1.0
+
+    def test_table_negative_count_is_a_usage_error(self, capsys, table_path):
+        code, _, err = run_cli(
+            capsys, "iterate", "--table", table_path, "--seed", "0,1", "--n", "-1"
+        )
+        assert code == 2 and ">= 0" in err
 
     def test_cyclotomic_seed(self, capsys):
         code, out, _ = run_cli(

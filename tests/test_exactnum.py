@@ -12,6 +12,7 @@ from iterk.exactnum import (
     CyclotomicField,
     CyclotomicNumber,
     RationalField,
+    _poly_div_int,
     cyclotomic_polynomial,
     fibonacci,
     join_fields,
@@ -60,6 +61,11 @@ class TestCyclotomicPolynomial:
             cyclotomic_polynomial(65)
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
+
+    def test_inexact_division_raises(self):
+        # x^2 + 1 is not a multiple of x + 1; the check must survive python -O
+        with pytest.raises(RuntimeError):
+            _poly_div_int([1, 0, 1], [1, 1])
 
 
 class TestRootsOfUnity:

@@ -167,7 +167,8 @@ class TestFixedPointStructure:
 
 class TestSweep:
     def test_matches_per_table_reports(self):
-        for m, k in [(2, 2), (2, 3)]:
+        # (1, *) and (*, 1) make m or m**(k-1) equal 1 in the window shift
+        for m, k in [(1, 1), (2, 1), (3, 1), (1, 3), (2, 2), (2, 3)]:
             states = dir1 = jn = jn_fail = jnk = bij = 0
             for t in iter_all_tables(m, k):
                 rep = cycle_correspondence_report(t)

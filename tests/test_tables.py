@@ -1,12 +1,14 @@
 """Finite-table analysis: permutation structure, predicates, enumeration."""
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from iterk.engine import first_iterate
+from iterk import _kernels
+from iterk.engine import InducedContext, first_iterate, induced_self_map
 from iterk.errors import BudgetError, ParseError
 from iterk.tables import (
     FiniteTable,
@@ -224,6 +226,40 @@ class TestInducedInvolutory:
         with pytest.raises(ValueError):
             is_induced_involutory(ADD_MOD3, 2, j=3)
 
+    def test_matches_engine_induced_self_maps(self):
+        def reference(t, n, j):
+            f = t.as_map()
+            for pos in [j] if j else range(1, t.k + 1):
+                for fixed in itertools.product(range(t.m), repeat=t.k - 1):
+                    g = induced_self_map(f, InducedContext(pos, fixed))
+                    for x in range(t.m):
+                        v = x
+                        for _ in range(n):
+                            v = g(v)
+                        if v != x:
+                            return False
+            return True
+
+        rng = random.Random(11)
+        cases = []
+        for _ in range(30):
+            m, k = rng.randint(1, 4), rng.randint(1, 3)
+            cases.append(
+                FiniteTable.from_values(m, k, [rng.randrange(m) for _ in range(m**k)])
+            )
+        # (c - sum(x)) mod m is an involution in every argument; conjugating
+        # keeps that while scrambling the entries
+        for m, k in [(2, 2), (3, 2), (3, 3), (4, 2), (5, 1)]:
+            for c in range(m):
+                g = list(range(m))
+                rng.shuffle(g)
+                t = FiniteTable.from_function(m, k, lambda *x, c=c: (c - sum(x)) % m)
+                cases.append(conjugate(t, g))
+        for t in cases:
+            for n in range(1, 5):
+                for j in [None, *range(1, t.k + 1)]:
+                    assert is_induced_involutory(t, n, j) == reference(t, n, j)
+
     def test_profile_ii_flag_matches_per_argument_flags(self):
         for t in (ADD_MOD3, II3_M4, hat_id(2, 2)):
             prof = property_profile(t)
@@ -325,6 +361,12 @@ class TestInvolutionCounting:
     def test_brute_budget(self):
         with pytest.raises(BudgetError):
             count_involutions_brute(12)
+
+    def test_failed_cross_check_raises(self, monkeypatch):
+        # the check must survive python -O
+        monkeypatch.setattr(_kernels, "involution_scan", lambda m: 0)
+        with pytest.raises(RuntimeError):
+            count_involutions(4)
 
 
 def brute_ii_tables(m, k):
