@@ -88,13 +88,44 @@ def ii_filter(tables, m, k):
     return ok
 
 
+def cycles(perm, size):
+    """Cycle labels of a flat self-map made of blocks of ``size`` states,
+    each block mapping into itself.
+
+    Returns, per state, the least member of its cycle (its head), the steps
+    from a cyclic state to its head, and its cycle length, 0 for states on no
+    cycle.  Pointer doubling (Wyllie 1979): after r rounds each state holds
+    the least of itself and its next 2^r - 1 successors, and the steps to
+    that state's first occurrence.  Trajectories
+    enter their cycle within ``size`` steps and no cycle is longer, so after
+    R = ceil(log2 size) rounds the image of perm^(2^R) is exactly the set of
+    cyclic states, and each of their windows spans the whole cycle.
+    """
+    n = perm.shape[0]
+    rounds = (size - 1).bit_length()
+    # key = state * 2**rounds + steps: the minimum is the least state, at
+    # its first occurrence
+    p, key = perm, np.arange(n) << rounds
+    for r in range(rounds):
+        np.minimum(key, key[p] + (1 << r), out=key)
+        p = p[p]
+    on = np.zeros(n, bool)
+    on[p] = True
+    head = key >> rounds
+    length = np.bincount(head[on], minlength=n)[head]
+    return head, key & ((1 << rounds) - 1), np.where(on, length, 0)
+
+
 def cycle_sweep(m, k):
     """Tally how state periods n and sequence periods j relate over every
     table on m symbols with k arguments.
 
     For each table whose first iterate is a bijection and each state, n is
     the state's period under the first iterate and j the minimal period of
-    the sequence seeded there.  Returns int64 tallies:
+    the sequence seeded there.  A purely periodic sequence repeats after d
+    terms iff its window does, so j is the state's cycle length under one
+    :func:`_step`, whose k-th power is the first iterate.  Returns int64
+    tallies:
       [0] tables visited          [1] tables with bijective first iterate
       [2] cyclic states checked   [3] states with n != j/gcd(j,k)
       [4] states with j | n       [5] states with j not dividing n
@@ -102,33 +133,17 @@ def cycle_sweep(m, k):
     """
     n_states = m**k
     total = m**n_states
-    # each sequence is purely periodic with period n*k <= width, so shifts
-    # d <= width compared over width terms find j
-    width = n_states * k
-    rows = max(1, _CHUNK // (2 * width * n_states))
-    states = np.arange(n_states)
+    rows = max(1, _CHUNK // n_states)
     tallies = np.zeros(7, np.int64)
     for start in range(0, total, rows):
         tabs = digits(start, min(start + rows, total), m, n_states)
         perm = _first_iterate(tabs, m, k)
         bijective = _is_bijective(perm)
         tabs, perm = tabs[bijective], perm[bijective]
-        n = np.zeros_like(perm)
-        power = perm
-        for p in range(1, n_states + 1):
-            n[(n == 0) & (power == states)] = p
-            if n.all():
-                break
-            power = np.take_along_axis(perm, power, axis=1)
-        seq = np.empty((2 * width,) + perm.shape, np.int64)
-        w = np.broadcast_to(states, perm.shape)
-        for i in range(2 * width):
-            w, seq[i] = _step(tabs, w, m, k)
-        j = np.zeros_like(perm)
-        for d in range(1, width + 1):
-            j[(j == 0) & (seq[:width] == seq[d : d + width]).all(axis=0)] = d
-            if j.all():
-                break
+        offset = np.arange(0, perm.size, n_states)[:, None]
+        sigma, _ = _step(tabs, np.broadcast_to(np.arange(n_states), perm.shape), m, k)
+        n = cycles((perm + offset).ravel(), n_states)[2]
+        j = cycles((sigma + offset).ravel(), n_states)[2]
         tallies += [
             bijective.size,
             tabs.shape[0],

@@ -306,11 +306,7 @@ def _cmd_claim1(args) -> int:
 def _cmd_augment(args) -> int:
     if args.table is not None:
         t = tables.load_table(args.table)
-        if t.m**args.to > tables.STATE_BUDGET:
-            raise BudgetError(
-                f"{t.m ** args.to} states in the lifted table exceed the"
-                f" analysis budget {tables.STATE_BUDGET}"
-            )
+        tables.check_state_budget(t.m, args.to)
         lifted = recurrence.augment(t.as_map(), args.to)
         lifted_table = tables.FiniteTable.from_function(
             t.m, args.to, lambda *xs: lifted.apply(xs)

@@ -9,6 +9,10 @@ cycle of length n, the seeded sequence is purely periodic and its minimal
 period j divides n*k; the checker records how j relates to n (j | n versus
 j | n*k) rather than asserting one reading, and separately verifies
 n = j / gcd(j, k).
+
+:func:`_minimal_sequence_period` is the one minimal-period search.  The
+all-tables sweep needs none: there j is the seed's cycle length under the
+one-term window shift.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def _minimal_sequence_period(terms: Sequence[Element], start: int, full: int) ->
             terms[start + i] == terms[start + i + d] for i in range(full)
         ):
             return d
-    raise AssertionError("period window did not confirm its own length")
+    raise RuntimeError("period window did not confirm its own length")
 
 
 def detect_minimal_period(
@@ -215,8 +219,9 @@ class SweepTallies:
 def cycle_correspondence_sweep(
     m: int, k: int, budget: int | None = None
 ) -> SweepTallies:
-    """Run :func:`cycle_correspondence_report` logic over all m**(m**k)
-    tables whose first iterate is bijective, returning only tallies."""
+    """Tally :func:`cycle_correspondence_report` over all m**(m**k) tables
+    whose first iterate is bijective, reading n and j as cycle lengths under
+    the first iterate and under the one-term window shift."""
     if m < 1 or k < 1:
         raise ValueError("m and k must both be >= 1")
     limit = SWEEP_BUDGET if budget is None else budget

@@ -117,11 +117,17 @@ class FiniteTable:
         return f"FiniteTable(m={self.m}, k={self.k}, entries={self.values()})"
 
 
-def _check_state_budget(t: FiniteTable, budget: int | None) -> None:
+def check_state_budget(m: int, k: int, budget: int | None = None) -> None:
+    """Raise :class:`BudgetError` when m**k states exceed ``budget``
+    (:data:`STATE_BUDGET` by default).
+
+    k*log2(m) is compared with the budget's bit length first, so no power far
+    past the budget is formed, and the message names m and k, not m**k.
+    """
     limit = STATE_BUDGET if budget is None else budget
-    if t.n_states > limit:
+    if k * math.log2(m) > limit.bit_length() or m**k > limit:
         raise BudgetError(
-            f"{t.n_states} states exceed the analysis budget of {limit}"
+            f"{m}**{k} states exceed the analysis budget of {limit}"
         )
 
 
@@ -151,31 +157,15 @@ class CycleReport:
 
 def as_permutation(t: FiniteTable, budget: int | None = None) -> np.ndarray | None:
     """The first iterate as a permutation array, or None if not injective."""
-    _check_state_budget(t, budget)
+    check_state_budget(t.m, t.k, budget)
     perm, injective = _kernels.table_perm(t.entries, t.m, t.k)
     return np.asarray(perm) if injective else None
 
 
 def _first_iterate_map(t: FiniteTable, budget: int | None = None) -> np.ndarray:
-    _check_state_budget(t, budget)
+    check_state_budget(t.m, t.k, budget)
     perm, _ = _kernels.table_perm(t.entries, t.m, t.k)
     return np.asarray(perm)
-
-
-def _cyclic_states(perm: np.ndarray) -> np.ndarray:
-    # strip states of in-degree zero repeatedly; what remains lies on cycles
-    n = perm.shape[0]
-    indeg = np.bincount(perm, minlength=n)
-    queue = [int(i) for i in np.nonzero(indeg == 0)[0]]
-    alive = np.ones(n, bool)
-    while queue:
-        v = queue.pop()
-        alive[v] = False
-        w = int(perm[v])
-        indeg[w] -= 1
-        if indeg[w] == 0 and alive[w]:
-            queue.append(w)
-    return alive
 
 
 def cycle_report(t: FiniteTable, budget: int | None = None) -> CycleReport:
@@ -185,29 +175,19 @@ def cycle_report(t: FiniteTable, budget: int | None = None) -> CycleReport:
     smallest member, so the output is canonical.
     """
     perm = _first_iterate_map(t, budget)
-    n = perm.shape[0]
-    counts = np.bincount(perm, minlength=n)
-    bijective = bool((counts == 1).all())
-    on_cycle = (
-        np.ones(n, bool) if bijective else _cyclic_states(perm)
-    )
-    cycles: list[tuple[int, ...]] = []
-    periods: dict[int, int] = {}
-    seen = np.zeros(n, bool)
-    for s in range(n):
-        if on_cycle[s] and not seen[s]:
-            cyc = [s]
-            seen[s] = True
-            c = int(perm[s])
-            while c != s:
-                cyc.append(c)
-                seen[c] = True
-                c = int(perm[c])
-            cycles.append(tuple(cyc))
-            for idx in cyc:
-                periods[idx] = len(cyc)
-    minimal = math.lcm(*(len(c) for c in cycles)) if bijective else None
-    return CycleReport(bijective, tuple(cycles), minimal, periods)
+    head, to_head, length = _kernels.cycles(perm, perm.shape[0])
+    on = np.flatnonzero(length)
+    head, to_head, length = head[on], to_head[on], length[on]
+    # a cyclic state lies (length - to_head) % length steps past its head
+    order = on[np.argsort(head * perm.shape[0] + (length - to_head) % length)]
+    states = tuple(order.tolist())
+    sizes = length[head == on]
+    bounds = [0] + np.cumsum(sizes).tolist()
+    cycles = tuple(states[a:b] for a, b in zip(bounds, bounds[1:]))
+    periods = dict(zip(states, np.repeat(sizes, sizes).tolist()))
+    bijective = on.size == perm.shape[0]
+    minimal = math.lcm(*set(sizes.tolist())) if bijective else None
+    return CycleReport(bijective, cycles, minimal, periods)
 
 
 def is_n_involutory(t: FiniteTable, n: int, budget: int | None = None) -> bool:
@@ -269,7 +249,7 @@ def is_induced_involutory(
         raise ValueError(f"order must be >= 1, got {n}")
     if j is not None and not 1 <= j <= t.k:
         raise ValueError(f"argument position {j} out of range 1..{t.k}")
-    _check_state_budget(t, budget)
+    check_state_budget(t.m, t.k, budget)
     positions = [j - 1] if j is not None else range(t.k)
     return all(
         (_kernels.induced_power(t.entries[None], t.m, t.k, pos, n) == np.arange(t.m)).all()
@@ -450,10 +430,8 @@ def enumerate_ii_tables(
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must both be >= 1")
+    check_state_budget(m, k, state_budget)
     n_states = m**k
-    slimit = STATE_BUDGET if state_budget is None else state_budget
-    if n_states > slimit:
-        raise BudgetError(f"{n_states} states exceed the analysis budget {slimit}")
     invs = np.array(involutions(m), dtype=np.int64).reshape(-1, m)
     n_ctx = m ** (k - 1)
     total = invs.shape[0] ** n_ctx
@@ -495,7 +473,9 @@ def loads_table(text: str) -> FiniteTable:
 
     Lines whose first non-blank character is ``#`` are comments.  The first
     data line must hold the two integers m and k; the following tokens are
-    the m**k values in row-major order (last argument fastest).
+    the m**k values in row-major order (last argument fastest).  A header
+    with more than :data:`STATE_BUDGET` states raises :class:`BudgetError`
+    before any value is read.
     """
     tokens: list[tuple[str, int, int]] = []
     header: tuple[int, int] | None = None
@@ -513,6 +493,7 @@ def loads_table(text: str) -> FiniteTable:
                 raise ParseError("header must be two integers: m k", ln, 1) from None
             if m < 1 or k < 1:
                 raise ParseError("m and k must both be >= 1", ln, 1)
+            check_state_budget(m, k)
             header = (m, k)
             continue
         col = 1

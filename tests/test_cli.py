@@ -210,6 +210,14 @@ class TestTransforms:
         )
         assert code == 3 and "budget" in err
 
+    def test_augment_huge_arity_is_refused_before_any_power(self, capsys, table_path):
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "augment", "--table", table_path, "--to", "30000000"
+        )
+        assert code == 3 and "3**30000000 states" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_augment_definition(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -261,3 +269,11 @@ class TestErrorPaths:
         p.write_text("3 2\n0 1 2\n")
         code, _, err = run_cli(capsys, "order", "--table", str(p))
         assert code == 2 and "expected 9" in err
+
+    def test_huge_table_header_is_a_budget_error(self, capsys, tmp_path):
+        p = tmp_path / "huge.tbl"
+        p.write_text("1000000 1000000\n0\n")
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "cycles", "--table", str(p))
+        assert code == 3 and "1000000**1000000 states" in err
+        assert time.perf_counter() - start < 1.0

@@ -10,6 +10,8 @@ from iterk.engine import KaryMap, iterate
 from iterk.errors import ArityError, BudgetError
 from iterk.recurrence import (
     RecurrenceSpec,
+    SweepTallies,
+    _minimal_sequence_period,
     augment,
     consistency_check,
     cycle_correspondence_report,
@@ -91,6 +93,10 @@ class TestDetectMinimalPeriod:
     def test_growing_sequence_has_no_period(self):
         found = detect_minimal_period(pair_sum_spec(), bound=1000)
         assert found.minimal_period is None
+
+    def test_unconfirmed_period_raises(self):
+        with pytest.raises(RuntimeError):
+            _minimal_sequence_period([0, 1, 0, 0], 0, 1)
 
     def test_preperiod_of_an_eventually_periodic_orbit(self):
         # 0, 5, 1, 1, 1, ... : one transient term before the fixed point
@@ -188,6 +194,11 @@ class TestSweep:
             assert sweep.j_divides_n_count == jn
             assert sweep.j_divides_n_failures == jn_fail
             assert sweep.j_divides_nk_violations == jnk
+
+    def test_four_argument_tallies(self):
+        assert cycle_correspondence_sweep(2, 4) == SweepTallies(
+            2, 4, 65536, 256, 4096, 0, 2238, 1858, 0
+        )
 
     def test_budget(self):
         with pytest.raises(BudgetError):

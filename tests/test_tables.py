@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterk import _kernels
 from iterk.engine import InducedContext, first_iterate, induced_self_map
@@ -13,6 +15,7 @@ from iterk.errors import BudgetError, ParseError
 from iterk.tables import (
     FiniteTable,
     as_permutation,
+    check_state_budget,
     conjugate,
     count_involutions,
     count_involutions_brute,
@@ -103,7 +106,43 @@ class TestAsPermutation:
                 assert perm[idx] == state_index(first_iterate(f, s), m)
 
 
+@st.composite
+def random_tables(draw):
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.integers(0, m - 1), min_size=m**k, max_size=m**k))
+    return FiniteTable.from_values(m, k, entries)
+
+
+def walked_cycle_report(t):
+    # one engine step per state, then a walk from every state
+    f = t.as_map()
+    nxt = [
+        state_index(first_iterate(f, state_from_index(i, t.m, t.k)), t.m)
+        for i in range(t.n_states)
+    ]
+    cycles = []
+    for s in range(t.n_states):
+        walk = [s]
+        while len(walk) <= t.n_states and nxt[walk[-1]] != s:
+            walk.append(nxt[walk[-1]])
+        if len(walk) <= t.n_states and s == min(walk):
+            cycles.append(tuple(walk))
+    periods = {s: len(c) for c in cycles for s in c}
+    bijective = len(periods) == t.n_states
+    order = math.lcm(*map(len, cycles)) if bijective else None
+    return bijective, tuple(cycles), periods, order
+
+
 class TestCycleReport:
+    @settings(max_examples=150, deadline=None)
+    @given(random_tables())
+    def test_matches_walk_over_engine_steps(self, t):
+        rep = cycle_report(t)
+        assert (
+            rep.bijective, rep.cycles, rep.per_point_period, rep.minimal_order
+        ) == walked_cycle_report(t)
+
     def test_mod3(self):
         rep = cycle_report(ADD_MOD3)
         assert rep.bijective
@@ -462,3 +501,11 @@ class TestBudgets:
             cycle_report(t, budget=3)
         with pytest.raises(BudgetError):
             list(enumerate_ii_tables(2, 25, state_budget=10**6))
+
+    def test_state_budget_is_exact_and_forms_no_huge_power(self):
+        check_state_budget(10, 6)
+        check_state_budget(1, 10**12)
+        with pytest.raises(BudgetError):
+            check_state_budget(10, 6, budget=10**6 - 1)
+        with pytest.raises(BudgetError, match=r"2\*\*1000000000 states"):
+            check_state_budget(2, 10**9)
