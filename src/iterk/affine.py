@@ -1,12 +1,14 @@
 """Exact linear-algebra treatment of affine maps sum(a_i * x_i) + A.
 
-For an affine map the first iterate is itself affine, so it can be carried
-as an exact k-by-k matrix plus offset vector and iterated by
-square-and-multiply on the homogeneous form.  The scalar domain is either
-the rationals or a cyclotomic field; nothing here touches floating point
-except :func:`decreasing_involution_residuals`, which numerically probes a
-conjugacy identity between a strictly decreasing involution on the positive
-reals and the negation map.
+For an affine map the first iterate is itself affine: an exact k-by-k
+matrix plus offset vector, read off :func:`engine.first_iterate` at the zero
+state and the unit vectors.  Matrix products are numpy ``dtype=object``
+products over the exact scalars, and iterates are matrix powers of the
+homogeneous (k+1)-form.  The scalar domain is either the rationals or a
+cyclotomic field, both through the same code; nothing here touches floating
+point except :func:`decreasing_involution_residuals`, which numerically
+probes a conjugacy identity between a strictly decreasing involution on the
+positive reals and the negation map.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .engine import Element, KaryMap, State, iterate as engine_iterate
+import numpy as np
+
+from .engine import Element, KaryMap, State, first_iterate, iterate as engine_iterate
 from .errors import ArityError
 from .exactnum import CyclotomicField, Field, RationalField, fibonacci
 
@@ -70,51 +74,23 @@ class AffineFirstIterate:
     def apply(self, state: Sequence[Element]) -> State:
         if len(state) != self.arity:
             raise ArityError(f"state length {len(state)} != arity {self.arity}")
-        return tuple(
-            sum((a * x for a, x in zip(row, state)), start=off)
-            for row, off in zip(self.matrix, self.offset)
-        )
+        product = np.array(self.matrix, dtype=object) @ np.array(state, dtype=object)
+        return tuple(product + self.offset)
 
 
 def build_first_iterate(spec: AffineMapSpec) -> AffineFirstIterate:
-    """Derive (matrix, offset) by substituting earlier rows for the fed-back
-    components, exactly as the componentwise recursion prescribes."""
+    """Read (matrix, offset) off the engine's first iterate: the offset is
+    the image of the zero state, column i the image of e_i minus the offset."""
     k = spec.arity
-    zero = spec.field.zero()
-    rows: list[tuple[list, Element]] = []
-    for j in range(k):
-        coeffs = [zero] * k
-        const = spec.constant
-        for t, a in enumerate(spec.coefficients):
-            if j + t < k:
-                coeffs[j + t] = coeffs[j + t] + a
-            else:
-                prev_coeffs, prev_const = rows[j + t - k]
-                for i in range(k):
-                    coeffs[i] = coeffs[i] + a * prev_coeffs[i]
-                const = const + a * prev_const
-        rows.append((coeffs, const))
-    return AffineFirstIterate(
-        tuple(tuple(r) for r, _ in rows), tuple(c for _, c in rows), spec.field
-    )
-
-
-def _mat_mul(a, b, zero):
-    k = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][t] * b[t][j] for t in range(k)), start=zero) for j in range(k)
-        )
-        for i in range(k)
-    )
-
-
-def _mat_vec(a, v, zero):
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), start=zero) for row in a)
-
-
-def _identity(k, zero, one):
-    return tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k))
+    zero, one = spec.field.zero(), spec.field.one()
+    f = spec.as_kary_map()
+    offset = first_iterate(f, (zero,) * k)
+    columns = [
+        first_iterate(f, tuple(one if i == j else zero for i in range(k)))
+        for j in range(k)
+    ]
+    matrix = tuple(tuple(col[i] - offset[i] for col in columns) for i in range(k))
+    return AffineFirstIterate(matrix, offset, spec.field)
 
 
 def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
@@ -125,20 +101,13 @@ def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> 
         raise ValueError(f"iterate count must be >= 0, got {n}")
     zero, one = it.field.zero(), it.field.one()
     k = it.arity
-    h = tuple(
-        tuple(row) + (off,) for row, off in zip(it.matrix, it.offset)
-    ) + ((zero,) * k + (one,),)
-    acc = _identity(k + 1, zero, one)
-    base = h
-    e = n
-    while e:
-        if e & 1:
-            acc = _mat_mul(acc, base, zero)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base, zero)
-    ext = tuple(state) + (one,)
-    return _mat_vec(acc, ext, zero)[:k]
+    h = np.array(
+        [row + (off,) for row, off in zip(it.matrix, it.offset)]
+        + [(zero,) * k + (one,)],
+        dtype=object,
+    )
+    ext = np.array(tuple(state) + (one,), dtype=object)
+    return tuple(np.linalg.matrix_power(h, n) @ ext)[:k]
 
 
 def affine_involutory_order(it: AffineFirstIterate, bound: int) -> int | None:
@@ -146,18 +115,15 @@ def affine_involutory_order(it: AffineFirstIterate, bound: int) -> int | None:
     offset, or None if no such n exists within the bound."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    zero, one = it.field.zero(), it.field.one()
-    k = it.arity
-    ident = _identity(k, zero, one)
-    power = it.matrix
-    shift = it.offset
+    zero = it.field.zero()
+    a, b = np.array(it.matrix, dtype=object), np.array(it.offset, dtype=object)
+    ident = np.identity(it.arity, dtype=object)
+    power, shift = a, b
     for n in range(1, bound + 1):
-        if power == ident and all(c == zero for c in shift):
+        # compare with == zero: a CyclotomicNumber has no truth value
+        if (power == ident).all() and (shift == zero).all():
             return n
-        power = _mat_mul(it.matrix, power, zero)
-        shift = tuple(
-            s + v for s, v in zip(_mat_vec(it.matrix, shift, zero), it.offset)
-        )
+        power, shift = a @ power, a @ shift + b
     return None
 
 

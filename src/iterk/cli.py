@@ -16,19 +16,18 @@ import random
 import sys
 from fractions import Fraction
 from importlib import resources
-from math import lcm
 
 from . import affine, engine, recurrence, tables
 from .errors import ArityError, BudgetError, NonAffineError, ParseError
-from .exactnum import CyclotomicField, CyclotomicNumber, RationalField, join_fields
+from .exactnum import RationalField
 from .parser import (
     MapDef,
     eval_scalar,
+    field_of,
     parse_map_def,
     parse_seed,
     to_affine,
     to_kary_map,
-    _zeta_orders,
 )
 
 EXIT_OK = 0
@@ -40,16 +39,8 @@ EXIT_BUDGET = 3
 # ---------------------------------------------------------------------------
 # rendering helpers
 
-def _render_scalar(v) -> str:
-    if isinstance(v, CyclotomicNumber):
-        return v.render()
-    if isinstance(v, Fraction):
-        return str(v)
-    return str(v)
-
-
 def _render_state(state) -> str:
-    parts = [_render_scalar(v) for v in state]
+    parts = [str(v) for v in state]
     sep = ", " if any(" " in p or "," in p for p in parts) else " "
     return sep.join(parts)
 
@@ -67,13 +58,8 @@ def _emit(args, text_lines, payload) -> None:
 
 def _seed_field(args, d: MapDef):
     # smallest field holding the definition plus every seed scalar
-    field = d.field()
-    if getattr(args, "seed", None):
-        for expr in parse_seed(args.seed):
-            orders = _zeta_orders(expr)
-            if orders:
-                field = join_fields(field, CyclotomicField(lcm(*orders)))
-    return field
+    seed = getattr(args, "seed", None)
+    return field_of(d.expr, *(parse_seed(seed) if seed else ()))
 
 
 def _def_seed(args, d: MapDef, field) -> tuple:
@@ -143,7 +129,7 @@ def _cmd_iterate(args) -> int:
         result = tables.table_iterate(t, _table_seed(args, t), args.n)
     else:
         result = engine.iterate(*_map_and_seed(args), args.n)
-    _emit(args, [_render_state(result)], {"state": [_render_scalar(v) for v in result]})
+    _emit(args, [_render_state(result)], {"state": [str(v) for v in result]})
     return EXIT_OK
 
 
@@ -156,7 +142,7 @@ def _cmd_orbit(args) -> int:
         args,
         lines,
         {
-            "states": [[_render_scalar(v) for v in s] for s in orb.states],
+            "states": [[str(v) for v in s] for s in orb.states],
             "recurred": orb.recurred,
         },
     )
@@ -329,7 +315,7 @@ def _cmd_augment(args) -> int:
             f"seed has {len(values)} components but the lifted arity is {args.to}"
         )
     result = lifted.apply(values)
-    _emit(args, [_render_scalar(result)], {"value": _render_scalar(result)})
+    _emit(args, [str(result)], {"value": str(result)})
     return EXIT_OK
 
 

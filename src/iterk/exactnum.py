@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import lcm
 
 from .errors import BudgetError, ParseError
@@ -36,11 +37,20 @@ def fibonacci(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials (ascending coefficient lists) -- just enough machinery
-# to construct cyclotomic polynomials by exact division
+# polynomials as ascending coefficient lists, over the integers or the
+# rationals: just enough machinery for cyclotomic polynomials, residues
+# modulo them and inverses
 
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
+def _degree(p) -> int:
+    d = len(p) - 1
+    while d >= 0 and p[d] == 0:
+        d -= 1
+    return d
+
+
+def _poly_mul(a, b) -> list:
+    # a typed zero, so rational inputs give rational coefficients throughout
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -48,20 +58,30 @@ def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _poly_divmod(num, den) -> tuple[list, list]:
+    """(q, r) with num = q*den + r and deg r < deg den; den must be nonzero.
+
+    A monic divisor is never divided by, so integer inputs stay integers.
+    """
+    r = list(num)
+    dd = _degree(den)
+    lead = den[dd]
+    q = [0] * max(len(r) - dd, 1)
+    for i in range(len(r) - 1, dd - 1, -1):
+        c = r[i] if lead == 1 else r[i] / lead
+        q[i - dd] = c
+        if c:
+            for j in range(dd + 1):
+                r[i - dd + j] -= c * den[j]
+    return q, r[:dd]
+
+
 def _poly_div_int(num: list[int], den: list[int]) -> list[int]:
     # den is monic; division must be exact here
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    if any(num[:dd]):
+    q, r = _poly_divmod(num, den)
+    if any(r):
         raise RuntimeError("non-exact polynomial division")
-    return out
+    return q
 
 
 @dataclass(frozen=True)
@@ -89,85 +109,34 @@ def cyclotomic_polynomial(n: int) -> CycloPolynomial:
         raise BudgetError(
             f"root order {n} exceeds the supported bound {MAX_ROOT_ORDER}"
         )
-    if n == 1:
-        return CycloPolynomial(1, (-1, 1))
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
+    num = [-1] + [0] * (n - 1) + [1]
     den = [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul_int(den, list(cyclotomic_polynomial(d).coefficients))
+            den = _poly_mul(den, cyclotomic_polynomial(d).coefficients)
     return CycloPolynomial(n, tuple(_poly_div_int(num, den)))
 
 
-def _reduce(order: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _reduce(order: int, coeffs) -> tuple[Fraction, ...]:
     phi = cyclotomic_polynomial(order).coefficients
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    if len(coeffs) < deg:
-        coeffs += [Fraction(0)] * (deg - len(coeffs))
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c:
-            for j, pj in enumerate(phi):
-                coeffs[i - deg + j] -= c * pj
-        coeffs[i] = Fraction(0)
-    return tuple(coeffs[:deg])
+    r = _poly_divmod(coeffs, phi)[1]
+    return tuple(r) + (Fraction(0),) * (len(phi) - 1 - len(r))
 
 
 def _poly_xgcd(
     a: list[Fraction], b: list[Fraction]
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Return (g, s) with s*a = g (mod b) and g the monic gcd of a and b."""
-
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and p[d] == 0:
-            d -= 1
-        return d
-
-    def divmod_frac(num, den):
-        num = list(num)
-        dd = deg(den)
-        lead = den[dd]
-        q = [Fraction(0)] * max(deg(num) - dd + 1, 1)
-        for i in range(deg(num), dd - 1, -1):
-            c = num[i] / lead
-            q[i - dd] = c
-            if c:
-                for j in range(dd + 1):
-                    num[i - dd + j] -= c * den[j]
-        return q, num
-
     r0, r1 = list(a), list(b)
     s0, s1 = [Fraction(1)], [Fraction(0)]
-    while deg(r1) >= 0:
-        q, r = divmod_frac(r0, r1)
-        qs = _poly_mul_frac(q, s1)
-        s_new = [x - y for x, y in _zip_pad(s0, qs)]
+    while _degree(r1) >= 0:
+        q, r = _poly_divmod(r0, r1)
+        qs = _poly_mul(q, s1)
         r0, r1 = r1, r
-        s0, s1 = s1, s_new
-    d = deg(r0)
+        s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
+    d = _degree(r0)
     lead = r0[d]
-    g = [c / lead for c in r0[: d + 1]]
-    s = [c / lead for c in s0]
-    return g, s
-
-
-def _poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _zip_pad(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
+    return [c / lead for c in r0[: d + 1]], [c / lead for c in s0]
 
 
 @dataclass(frozen=True)
@@ -274,7 +243,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prod = _poly_mul_frac(list(self.coeffs), list(other.coeffs))
+        prod = _poly_mul(self.coeffs, other.coeffs)
         return CyclotomicNumber(self.order, _reduce(self.order, prod))
 
     __rmul__ = __mul__

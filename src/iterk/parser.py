@@ -19,11 +19,12 @@ reported as :class:`ParseError` with a line and column.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Union
+from typing import Callable, Union
 
 from .affine import AffineMapSpec
 from .engine import KaryMap
@@ -90,14 +91,15 @@ class MapDef:
     arity: int
     expr: MapExpr
 
-    def zeta_orders(self) -> frozenset[int]:
-        return frozenset(_zeta_orders(self.expr))
-
     def field(self) -> Field:
-        orders = self.zeta_orders()
-        if not orders:
-            return RationalField()
-        return CyclotomicField(lcm(*orders))
+        return field_of(self.expr)
+
+
+def field_of(*exprs: MapExpr) -> Field:
+    """Smallest field holding every literal of ``exprs``: the rationals, or
+    the cyclotomic field of the lcm of their root orders."""
+    orders = set().union(*map(_zeta_orders, exprs))
+    return CyclotomicField(lcm(*orders)) if orders else RationalField()
 
 
 def _zeta_orders(expr: MapExpr) -> set[int]:
@@ -367,58 +369,48 @@ def render_def(d: MapDef) -> str:
 
 # --- evaluation and affine extraction --------------------------------------
 
-def _eval_scalar_expr(expr: MapExpr, field: Field):
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _compile(expr: MapExpr, field: Field, arity: int) -> Callable[[tuple], object]:
+    """The tree as a function of the state tuple, its literals folded into
+    ``field`` once; variables past ``arity`` are a :class:`ParseError`."""
+    if isinstance(expr, Var):
+        if not 1 <= expr.index <= arity:
+            raise ParseError(
+                f"undeclared variable 'x{expr.index}' (declared arity {arity})"
+            )
+        i = expr.index - 1
+        return lambda s: s[i]
     if isinstance(expr, RationalLit):
-        return field.coerce(expr.value)
+        value = field.coerce(expr.value)
+        return lambda s: value
     if isinstance(expr, ZetaLit):
         if isinstance(field, RationalField):
             raise ParseError("root-of-unity literal in a rational context")
-        return field.coerce(
-            CyclotomicField(expr.order).zeta(expr.power)
-        )
-    if isinstance(expr, Neg):
-        return -_eval_scalar_expr(expr.operand, field)
+        value = field.coerce(CyclotomicField(expr.order).zeta(expr.power))
+        return lambda s: value
     if isinstance(expr, Group):
-        return _eval_scalar_expr(expr.inner, field)
-    if isinstance(expr, Add):
-        return _eval_scalar_expr(expr.left, field) + _eval_scalar_expr(expr.right, field)
-    if isinstance(expr, Sub):
-        return _eval_scalar_expr(expr.left, field) - _eval_scalar_expr(expr.right, field)
-    if isinstance(expr, Mul):
-        return _eval_scalar_expr(expr.left, field) * _eval_scalar_expr(expr.right, field)
-    if isinstance(expr, Var):
-        raise ParseError("variables are not allowed in a constant expression")
+        return _compile(expr.inner, field, arity)
+    if isinstance(expr, Neg):
+        operand = _compile(expr.operand, field, arity)
+        return lambda s: -operand(s)
+    if type(expr) in _BINARY:
+        op = _BINARY[type(expr)]
+        left, right = _compile(expr.left, field, arity), _compile(expr.right, field, arity)
+        return lambda s: op(left(s), right(s))
     raise TypeError(f"not a map expression: {expr!r}")
 
 
 def eval_scalar(expr: MapExpr, field: Field | None = None):
     """Constant-fold a scalar expression into a field element."""
-    if field is None:
-        orders = _zeta_orders(expr)
-        field = CyclotomicField(lcm(*orders)) if orders else RationalField()
-    return _eval_scalar_expr(expr, field)
+    return _compile(expr, field_of(expr) if field is None else field, 0)(())
 
 
 def to_kary_map(d: MapDef, field: Field | None = None) -> KaryMap:
     """Evaluate the definition as an engine map (non-affine bodies allowed)."""
     fld = d.field() if field is None else field
-
-    def eval_node(expr: MapExpr, state):
-        if isinstance(expr, Var):
-            return state[expr.index - 1]
-        if isinstance(expr, Neg):
-            return -eval_node(expr.operand, state)
-        if isinstance(expr, Group):
-            return eval_node(expr.inner, state)
-        if isinstance(expr, Add):
-            return eval_node(expr.left, state) + eval_node(expr.right, state)
-        if isinstance(expr, Sub):
-            return eval_node(expr.left, state) - eval_node(expr.right, state)
-        if isinstance(expr, Mul):
-            return eval_node(expr.left, state) * eval_node(expr.right, state)
-        return _eval_scalar_expr(expr, fld)
-
-    return KaryMap(d.arity, lambda s: eval_node(d.expr, s), name="parsed")
+    return KaryMap(d.arity, _compile(d.expr, fld, d.arity), name="parsed")
 
 
 def to_affine(d: MapDef, field: Field | None = None) -> AffineMapSpec:
@@ -455,7 +447,7 @@ def to_affine(d: MapDef, field: Field | None = None) -> AffineMapSpec:
             if lvars:
                 return [v * ar for v in cl], al * ar
             return [al * v for v in cr], al * ar
-        return [zero] * d.arity, _eval_scalar_expr(expr, fld)
+        return [zero] * d.arity, eval_scalar(expr, fld)
 
     coeffs, const = walk(d.expr)
     return AffineMapSpec(d.arity, tuple(coeffs), const, fld)

@@ -10,9 +10,10 @@ period j divides n*k; the checker records how j relates to n (j | n versus
 j | n*k) rather than asserting one reading, and separately verifies
 n = j / gcd(j, k).
 
-:func:`_minimal_sequence_period` is the one minimal-period search.  The
-all-tables sweep needs none: there j is the seed's cycle length under the
-one-term window shift.
+:func:`_minimal_sequence_period` is the one minimal-period search, used by
+:func:`detect_minimal_period`.  The table report and the all-tables sweep
+need none: there j is the seed's cycle length under the one-term window
+shift.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .engine import Element, KaryMap, first_iterate, iterate as engine_iterate
 from .errors import ArityError, BudgetError
-from .tables import FiniteTable, cycle_report, state_from_index
+from .tables import FiniteTable, cycle_report, state_from_index, tables_exceed
 
 #: Largest number of tables a full sweep will visit.
 SWEEP_BUDGET = 10**7
@@ -186,19 +187,17 @@ class CorrespondenceReport:
 def cycle_correspondence_report(t: FiniteTable) -> CorrespondenceReport:
     """For every state on a cycle of the first iterate: its state period n,
     the minimal period j of the sequence seeded there, and the divisibility
-    relations between the two."""
+    relations between the two.  j is the state's cycle length under the
+    one-term window shift, as in :func:`cycle_correspondence_sweep`."""
     rep = cycle_report(t)
-    fmap = t.as_map()
-    rows = []
-    for idx in sorted(rep.per_point_period):
-        n_p = rep.per_point_period[idx]
-        seed = state_from_index(idx, t.m, t.k)
-        spec = RecurrenceSpec(fmap, seed)
-        full = n_p * t.k
-        terms = generate(spec, 2 * full)
-        j = _minimal_sequence_period(terms, 0, full)
-        rows.append(CorrespondenceRow(idx, seed, n_p, j))
-    return CorrespondenceReport(rep.bijective, tuple(rows))
+    windows = np.arange(t.n_states)[None]
+    shift, _ = _kernels._step(t.entries[None], windows, t.m, t.k)
+    j = _kernels.cycles(shift[0], t.n_states)[2]
+    rows = tuple(
+        CorrespondenceRow(idx, state_from_index(idx, t.m, t.k), n, int(j[idx]))
+        for idx, n in sorted(rep.per_point_period.items())
+    )
+    return CorrespondenceReport(rep.bijective, rows)
 
 
 @dataclass(frozen=True)
@@ -225,9 +224,8 @@ def cycle_correspondence_sweep(
     if m < 1 or k < 1:
         raise ValueError("m and k must both be >= 1")
     limit = SWEEP_BUDGET if budget is None else budget
-    total = m ** (m**k)
-    if total > limit:
-        raise BudgetError(f"{total} tables exceed the sweep budget {limit}")
+    if tables_exceed(m, k, limit):
+        raise BudgetError(f"{m}**({m}**{k}) tables exceed the sweep budget {limit}")
     t = np.asarray(_kernels.cycle_sweep(m, k))
     return SweepTallies(m, k, *(int(v) for v in t))
 

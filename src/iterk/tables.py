@@ -117,15 +117,31 @@ class FiniteTable:
         return f"FiniteTable(m={self.m}, k={self.k}, entries={self.values()})"
 
 
+def exceeds(base: int, exponent: int, limit: int) -> bool:
+    """Whether base**exponent > limit.
+
+    exponent*log2(base) is compared with limit's bit length first, so no
+    power far past the limit is formed.
+    """
+    if base > 1 and exponent > limit.bit_length() / math.log2(base):
+        return True
+    return base**exponent > limit
+
+
+def tables_exceed(m: int, k: int, limit: int) -> bool:
+    """Whether the m**(m**k) tables on m symbols with k arguments exceed
+    ``limit``; m**k is formed only when it is below limit's bit length."""
+    return exceeds(m, k, limit.bit_length()) or exceeds(m, m**k, limit)
+
+
 def check_state_budget(m: int, k: int, budget: int | None = None) -> None:
     """Raise :class:`BudgetError` when m**k states exceed ``budget``
     (:data:`STATE_BUDGET` by default).
 
-    k*log2(m) is compared with the budget's bit length first, so no power far
-    past the budget is formed, and the message names m and k, not m**k.
+    The message names m and k, never m**k.
     """
     limit = STATE_BUDGET if budget is None else budget
-    if k * math.log2(m) > limit.bit_length() or m**k > limit:
+    if exceeds(m, k, limit):
         raise BudgetError(
             f"{m}**{k} states exceed the analysis budget of {limit}"
         )
@@ -390,18 +406,18 @@ def count_involutions_brute(m: int, budget: int = 5 * 10**7) -> int:
     """Count involutions by scanning all m**m self-maps."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if m**m > budget:
-        raise BudgetError(f"{m ** m} self-maps exceed the scan budget {budget}")
+    if exceeds(m, m, budget):
+        raise BudgetError(f"{m}**{m} self-maps exceed the scan budget {budget}")
     return int(_kernels.involution_scan(m))
 
 
 def iter_all_tables(m: int, k: int, budget: int | None = None) -> Iterator[FiniteTable]:
     """Every table on m symbols with k arguments, ascending row-major order."""
+    limit = CANDIDATE_BUDGET if budget is None else budget
+    if tables_exceed(m, k, limit):
+        raise BudgetError(f"{m}**({m}**{k}) tables exceed the enumeration budget {limit}")
     n_states = m**k
     total = m**n_states
-    limit = CANDIDATE_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetError(f"{total} tables exceed the enumeration budget {limit}")
     entries = np.zeros(n_states, np.int64)
     for _ in range(total):
         yield FiniteTable(m, k, entries.copy())
@@ -434,12 +450,13 @@ def enumerate_ii_tables(
     n_states = m**k
     invs = np.array(involutions(m), dtype=np.int64).reshape(-1, m)
     n_ctx = m ** (k - 1)
-    total = invs.shape[0] ** n_ctx
     climit = CANDIDATE_BUDGET if candidate_budget is None else candidate_budget
-    if total > climit:
+    if exceeds(invs.shape[0], n_ctx, climit):
         raise BudgetError(
-            f"{total} candidate tables exceed the enumeration budget {climit}"
+            f"{invs.shape[0]}**({m}**{k - 1}) candidate tables exceed the"
+            f" enumeration budget {climit}"
         )
+    total = invs.shape[0] ** n_ctx
     survivors: list[tuple[int, ...]] = []
     chunk = 1 << 15
     base = invs.shape[0]

@@ -19,9 +19,9 @@ from iterk.affine import (
     roots_map_spec,
     sum_map_closed_form,
 )
-from iterk.engine import KaryMap, iterate
+from iterk.engine import KaryMap, first_iterate, iterate
 from iterk.errors import ArityError
-from iterk.exactnum import CyclotomicField
+from iterk.exactnum import CyclotomicField, RationalField
 
 
 def rand_fraction(rng):
@@ -88,6 +88,73 @@ class TestInvolutoryOrder:
     def test_root_coefficient_map_has_none(self):
         it = build_first_iterate(roots_map_spec())
         assert affine_involutory_order(it, 50) is None
+
+
+FIELDS = (RationalField(),) + tuple(CyclotomicField(n) for n in (3, 4, 5, 12))
+
+
+def random_element(rng, fld, unit=False):
+    """A small rational, plus a multiple of a root of unity outside Q; with
+    ``unit`` one of 0, +-1 or +-zeta**p, so that finite orders are common."""
+    if unit:
+        q = Fraction(rng.choice((-1, 0, 1)))
+    else:
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if isinstance(fld, RationalField):
+        return q
+    z = fld.zeta(rng.randrange(fld.order))
+    return z * rng.choice((-1, 1)) if unit and q else q + z * rng.randint(-1, 1)
+
+
+def random_spec(rng, fld, k, unit=False):
+    coeffs = tuple(random_element(rng, fld, unit) for _ in range(k))
+    return AffineMapSpec(k, coeffs, random_element(rng, fld, unit), fld)
+
+
+def engine_order(spec, bound):
+    # an affine map that fixes the zero state and every unit vector is the
+    # identity, so its order is the first n returning those k + 1 points
+    k, zero, one = spec.arity, spec.field.zero(), spec.field.one()
+    f = spec.as_kary_map()
+    points = [(zero,) * k] + [
+        tuple(one if i == j else zero for i in range(k)) for j in range(k)
+    ]
+    current = points
+    for n in range(1, bound + 1):
+        current = [first_iterate(f, p) for p in current]
+        if current == points:
+            return n
+    return None
+
+
+class TestDifferentialAgainstEngine:
+    @pytest.mark.parametrize("fld", FIELDS, ids=str)
+    def test_matrix_powers_match_engine_steps(self, fld):
+        rng = random.Random(str(fld))
+        for k in range(1, 5):
+            spec = random_spec(rng, fld, k)
+            it = build_first_iterate(spec)
+            f = spec.as_kary_map()
+            state = tuple(random_element(rng, fld) for _ in range(k))
+            current = state
+            for n in range(21):
+                assert affine_iterate(it, state, n) == current
+                current = first_iterate(f, current)
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=str)
+    def test_involutory_order_matches_engine(self, fld):
+        # random maps over units, and A - sum(x), whose order k + 1 lies
+        # past the bound k and within the bound 12
+        rng = random.Random(str(fld))
+        specs = [random_spec(rng, fld, 1 + t % 4, unit=True) for t in range(12)]
+        specs += [
+            AffineMapSpec(k, (-fld.one(),) * k, random_element(rng, fld), fld)
+            for k in range(1, 5)
+        ]
+        for spec in specs:
+            it = build_first_iterate(spec)
+            for bound in (spec.arity, 12):
+                assert affine_involutory_order(it, bound) == engine_order(spec, bound)
 
 
 class TestFibonacciClosedForm:

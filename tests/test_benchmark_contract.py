@@ -1,0 +1,43 @@
+"""The benchmark's calls into iterk, run once each with its own checks.
+
+``perfbench/`` reads parameters of iterk functions by name while tracing
+(``affine_iterate``'s ``it`` and its ``.field``) and passes some arguments
+by position, so a change to a public signature turns its ops into failures
+that only a benchmark run would count.  This runs the layer canary and every
+exact-algebra op once, traced, at one seed; the CLI requests and all timing
+are left to the benchmark itself.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+import canary  # noqa: E402
+import spans  # noqa: E402
+import wl_exact  # noqa: E402
+
+
+@pytest.fixture
+def tracer():
+    t = spans.Tracer()
+    t.install(spans.iterk_modules())
+    t.active = True
+    try:
+        yield t
+    finally:
+        t.active = False
+        t.uninstall()
+
+
+def test_canary_and_exact_algebra_ops_pass_their_checks(tracer, tmp_path):
+    workload = wl_exact.build(wl_exact.make_inputs(1), tracer, tmp_path)
+    ops = [canary.op(tracer)] + workload.ops
+    failed = [op.name for op in ops if not op.check(op.call())]
+    assert failed == []
+    names = {s.name for s in tracer.spans}
+    assert {"affine.affine_iterate.q", "affine.affine_iterate.cyclo"} <= names
+    assert "affine.affine_involutory_order" in names

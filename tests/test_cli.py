@@ -157,6 +157,19 @@ class TestEnumerationCommands:
         code, _, err = run_cli(capsys, "enumerate-ii", "--m", "4", "--k", "3")
         assert code == 3 and "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (("claim1", "--m", "2", "--k", "25"), "2**(2**25) tables"),
+            (("enumerate-ii", "--m", "2", "--k", "19"), "2**(2**18) candidate tables"),
+        ],
+    )
+    def test_table_count_budgets_exit_three_at_once(self, capsys, argv, count):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and count in err and "budget" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_count_involutions(self, capsys):
         code, out, _ = run_cli(capsys, "count-involutions", "--m", "5", "--brute")
         assert code == 0 and out.strip() == "26"

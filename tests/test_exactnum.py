@@ -13,6 +13,7 @@ from iterk.exactnum import (
     CyclotomicNumber,
     RationalField,
     _poly_div_int,
+    _poly_divmod,
     cyclotomic_polynomial,
     fibonacci,
     join_fields,
@@ -66,6 +67,38 @@ class TestCyclotomicPolynomial:
         # x^2 + 1 is not a multiple of x + 1; the check must survive python -O
         with pytest.raises(RuntimeError):
             _poly_div_int([1, 0, 1], [1, 1])
+
+
+def trimmed(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+fraction_polys = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=1, max_size=8
+)
+
+
+class TestPolynomialDivision:
+    @settings(max_examples=80, deadline=None)
+    @given(fraction_polys, fraction_polys)
+    def test_quotient_and_remainder(self, num, den):
+        if not trimmed(den):
+            return
+        q, r = _poly_divmod(num, den)
+        assert len(trimmed(r)) < len(trimmed(den))
+        back = poly_mul(q, den)
+        back += [0] * (len(num) - len(back))
+        for i, c in enumerate(r):
+            back[i] += c
+        assert trimmed(back) == trimmed(num)
+
+    def test_monic_integer_division_stays_integral(self):
+        q, r = _poly_divmod([-1, 0, 0, 1], [-1, 1])
+        assert q == [1, 1, 1] and not any(r)
+        assert all(type(c) is int for c in q + r)
 
 
 class TestRootsOfUnity:

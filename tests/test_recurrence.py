@@ -143,6 +143,32 @@ class TestCorrespondenceReport:
         assert not rep.bijective
         assert {r.state for r in rep.rows} == {(0, 0), (1, 1)}
 
+    def test_matches_generated_sequences_on_random_tables(self):
+        # reference: a state is cyclic with period n when the window at
+        # term n*k is the seed again, and j is the first term d at which it
+        # is, since the recurrence is deterministic
+        rng = random.Random(43)
+        for _ in range(120):
+            m, k = rng.randint(1, 4), rng.randint(1, 3)
+            t = FiniteTable.from_values(m, k, [rng.randrange(m) for _ in range(m**k)])
+            size = m**k
+            want = []
+            for idx in range(size):
+                seed = state_from_index(idx, m, k)
+                terms = generate(RecurrenceSpec(t.as_map(), seed), (size + 1) * k)
+                windows = [tuple(terms[d : d + k]) for d in range(size * k + 1)]
+                n = next((n for n in range(1, size + 1) if windows[n * k] == seed), None)
+                if n is not None:
+                    j = next(d for d in range(1, n * k + 1) if windows[d] == seed)
+                    want.append((idx, seed, n, j))
+            rep = cycle_correspondence_report(t)
+            got = [
+                (r.state_index, r.state, r.state_period, r.sequence_period)
+                for r in rep.rows
+            ]
+            assert got == want
+            assert rep.bijective == (len(want) == size)
+
 
 class TestFixedPointStructure:
     def test_fixed_points_correspond_to_periods_dividing_k(self):

@@ -22,6 +22,7 @@ from iterk.tables import (
     cycle_report,
     dumps_table,
     enumerate_ii_tables,
+    exceeds,
     hat_id,
     involutions,
     is_induced_involutory,
@@ -34,6 +35,7 @@ from iterk.tables import (
     state_from_index,
     state_index,
     table_iterate,
+    tables_exceed,
 )
 
 ADD_MOD3 = FiniteTable.from_values(3, 2, [0, 1, 2, 1, 2, 0, 2, 0, 1])
@@ -509,3 +511,19 @@ class TestBudgets:
             check_state_budget(10, 6, budget=10**6 - 1)
         with pytest.raises(BudgetError, match=r"2\*\*1000000000 states"):
             check_state_budget(2, 10**9)
+
+    def test_table_counts_are_refused_without_forming_the_power(self):
+        with pytest.raises(BudgetError, match=r"2\*\*\(2\*\*25\) tables"):
+            next(iter_all_tables(2, 25))
+        with pytest.raises(BudgetError, match=r"2\*\*\(2\*\*18\) candidate tables"):
+            next(enumerate_ii_tables(2, 19))
+        with pytest.raises(BudgetError, match=r"2000\*\*2000 self-maps"):
+            count_involutions_brute(2000)
+
+    def test_exceeds_is_exact_at_the_limit(self):
+        assert not exceeds(10, 7, 10**7) and exceeds(10, 7, 10**7 - 1)
+        assert not exceeds(2, 23, 2**23) and exceeds(2, 24, 2**23)
+        assert not exceeds(1, 10**12, 1) and not exceeds(0, 5, 0)
+        assert exceeds(3, 10**18, 10**7)
+        assert not tables_exceed(2, 2, 16) and tables_exceed(2, 2, 15)
+        assert not tables_exceed(1, 10**12, 1) and tables_exceed(3, 10**12, 10**7)
