@@ -102,7 +102,7 @@ def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> 
     zero, one = it.field.zero(), it.field.one()
     k = it.arity
     h = np.array(
-        [row + (off,) for row, off in zip(it.matrix, it.offset)]
+        [tuple(row) + (off,) for row, off in zip(it.matrix, it.offset)]
         + [(zero,) * k + (one,)],
         dtype=object,
     )
@@ -120,7 +120,8 @@ def affine_involutory_order(it: AffineFirstIterate, bound: int) -> int | None:
     ident = np.identity(it.arity, dtype=object)
     power, shift = a, b
     for n in range(1, bound + 1):
-        # compare with == zero: a CyclotomicNumber has no truth value
+        # compare elementwise: a CyclotomicNumber defines no __bool__, so
+        # even a zero one is truthy
         if (power == ident).all() and (shift == zero).all():
             return n
         power, shift = a @ power, a @ shift + b
