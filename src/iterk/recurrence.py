@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .engine import Element, KaryMap, first_iterate, iterate as engine_iterate
+from .engine import Element, KaryMap, iterate as engine_iterate
 from .errors import ArityError, BudgetError
 from .tables import FiniteTable, cycle_report, state_from_index, tables_exceed
 
@@ -102,28 +102,34 @@ def detect_minimal_period(
 ) -> CycleFinding:
     """Minimal eventual period of the generated sequence.
 
-    The state orbit is walked in strides of k until a state recurs (elements
-    must be hashable); the state period then bounds the sequence period,
-    whose minimal value is read off the materialized terms directly.
-    Returns an absent period if no state recurs within ``bound`` terms.
+    The sequence is generated once, one term at a time; after every k terms
+    its last k form the next state of the orbit under the first iterate
+    (elements must be hashable).  When a state recurs, the terms from its
+    first occurrence on repeat with the state period times k, so a second
+    period is copied rather than computed, and the minimal period is read
+    off those terms.  Each term costs one application of the map.  Returns
+    an absent period if no state recurs within ``bound`` terms.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     k = spec.map.arity
     seen: dict[tuple, int] = {}
-    state = tuple(spec.seed)
+    terms = list(spec.seed)
+    state = tuple(terms)
     step = 0
     while (step + 1) * k <= bound:
         if state in seen:
             break
         seen[state] = step
-        state = first_iterate(spec.map, state)
+        for _ in range(k):
+            terms.append(spec.map.apply(terms[-k:]))
+        state = tuple(terms[-k:])
         step += 1
     if state not in seen:
         return CycleFinding(None, 0, None)
     rho, p = seen[state], step - seen[state]
     start, full = rho * k, p * k
-    terms = generate(spec, start + 2 * full)
+    terms = terms[: start + full] + terms[start : start + full]
     j = _minimal_sequence_period(terms, start, full)
     r = start
     while r > 0 and terms[r - 1] == terms[r - 1 + j]:

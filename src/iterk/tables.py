@@ -14,6 +14,7 @@ than start an infeasible computation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -384,22 +385,38 @@ def involutions(m: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _telephone(m: int) -> int:
+    # T(m) by T(i) = T(i-1) + (i-1) * T(i-2), stopped once the count has
+    # more digits than the interpreter converts to text (0: no limit)
+    digits = sys.get_int_max_str_digits()
+    max_bits = digits * math.log2(10) if digits else math.inf
+    a, b = 1, 1  # T(0), T(1)
+    for i in range(2, m + 1):
+        a, b = b, b + (i - 1) * a
+        if b.bit_length() > max_bits:
+            raise BudgetError(
+                f"T({m}) exceeds the int-to-str digit budget {digits}"
+                " (PYTHONINTMAXSTRDIGITS)"
+            )
+    return b
+
+
 def count_involutions(m: int) -> int:
     """Number of involutions of an m-element set (the telephone numbers).
 
     Uses the recursion T(m) = T(m-1) + (m-1) * T(m-2); for small m the count
     is cross-checked against brute-force enumeration of all self-maps.
+    Raises :class:`BudgetError` when T(m) has more digits than
+    ``sys.get_int_max_str_digits()`` allows to print.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    a, b = 1, 1  # T(0), T(1)
-    for i in range(2, m + 1):
-        a, b = b, b + (i - 1) * a
+    count = _telephone(m)
     if m <= 5:
         brute = count_involutions_brute(m)
-        if brute != b:
-            raise RuntimeError(f"recursion {b} != brute force {brute} at m={m}")
-    return b
+        if brute != count:
+            raise RuntimeError(f"recursion {count} != brute force {brute} at m={m}")
+    return count
 
 
 def count_involutions_brute(m: int, budget: int = 5 * 10**7) -> int:
@@ -439,36 +456,33 @@ def enumerate_ii_tables(
     """All induced-involutory tables (involution in every argument, every
     context), in ascending row-major encoding order.
 
-    Candidates are assembled so that the first argument's induced map is by
-    construction one of the T(m) involutions for every frozen context; the
-    remaining argument positions are then filtered.  This keeps the search at
-    T(m)**(m**(k-1)) candidates instead of m**(m**k) raw tables.
+    Fixing the last argument cuts a table into m slices of one argument
+    fewer, and the table is induced-involutory exactly when every slice is
+    and its induced map in the last argument is an involution.  So the
+    tables are built one arity at a time from the T(m) involutions: every
+    m-tuple of the previous arity's tables is a candidate, and the last
+    argument is filtered.  The budget is checked, before any involution is
+    listed, against T(m)**(m**(k-1)), which bounds the candidates of every
+    arity.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must both be >= 1")
     check_state_budget(m, k, state_budget)
-    n_states = m**k
-    invs = np.array(involutions(m), dtype=np.int64).reshape(-1, m)
-    n_ctx = m ** (k - 1)
+    n_inv = _telephone(m)
     climit = CANDIDATE_BUDGET if candidate_budget is None else candidate_budget
-    if exceeds(invs.shape[0], n_ctx, climit):
+    if exceeds(n_inv, m ** (k - 1), climit):
         raise BudgetError(
-            f"{invs.shape[0]}**({m}**{k - 1}) candidate tables exceed the"
+            f"{n_inv}**({m}**{k - 1}) candidate tables exceed the"
             f" enumeration budget {climit}"
         )
-    total = invs.shape[0] ** n_ctx
-    survivors: list[tuple[int, ...]] = []
-    chunk = 1 << 15
-    base = invs.shape[0]
-    for start in range(0, total, chunk):
-        choice = _kernels.digits(start, min(start + chunk, total), base, n_ctx)
-        # tables[c, x1 * n_ctx + ctx] = chosen involution for ctx evaluated at x1
-        tabs = invs[choice].transpose(0, 2, 1).reshape(-1, n_states)
-        tabs = np.ascontiguousarray(tabs)
-        mask = np.asarray(_kernels.ii_filter(tabs, m, k))
-        survivors.extend(tuple(int(v) for v in row) for row in tabs[mask])
-    survivors.sort()
-    for row in survivors:
+    rows = np.array(involutions(m), dtype=np.int64).reshape(-1, m)
+    for kk in range(2, k + 1):
+        n_rows = rows.shape[0]
+        choice = _kernels.digits(0, n_rows**m, n_rows, m)
+        # cand[c, i * m + v] is entry i of slice choice[c, v]: x_kk = v is fastest
+        cand = rows[choice].transpose(0, 2, 1).reshape(n_rows**m, m**kk)
+        rows = cand[_kernels.ii_filter(cand, m, kk)]
+    for row in sorted(tuple(int(v) for v in row) for row in rows):
         yield FiniteTable.from_values(m, k, row)
 
 

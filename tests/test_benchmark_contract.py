@@ -4,8 +4,8 @@
 (``affine_iterate``'s ``it`` and its ``.field``) and passes some arguments
 by position, so a change to a public signature turns its ops into failures
 that only a benchmark run would count.  This runs the layer canary and every
-exact-algebra op once, traced, at one seed; the CLI requests and all timing
-are left to the benchmark itself.
+exact-algebra and period-sweep op once, traced, at one seed; the CLI
+requests and all timing are left to the benchmark itself.
 """
 
 import sys
@@ -19,6 +19,7 @@ sys.path.insert(0, str(BENCH))
 import canary  # noqa: E402
 import spans  # noqa: E402
 import wl_exact  # noqa: E402
+import wl_sweep  # noqa: E402
 
 
 @pytest.fixture
@@ -41,3 +42,11 @@ def test_canary_and_exact_algebra_ops_pass_their_checks(tracer, tmp_path):
     names = {s.name for s in tracer.spans}
     assert {"affine.affine_iterate.q", "affine.affine_iterate.cyclo"} <= names
     assert "affine.affine_involutory_order" in names
+
+
+def test_period_sweep_ops_pass_their_checks(tracer, tmp_path):
+    workload = wl_sweep.build(wl_sweep.make_inputs(1), tracer, tmp_path)
+    failed = [op.name for op in workload.ops if not op.check(op.call())]
+    assert failed == []
+    names = {s.name for s in tracer.spans}
+    assert {"recurrence.detect_minimal_period", "_kernels.ii_filter"} <= names

@@ -174,6 +174,17 @@ class TestEnumerationCommands:
         code, out, _ = run_cli(capsys, "count-involutions", "--m", "5", "--brute")
         assert code == 0 and out.strip() == "26"
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_count_past_the_digit_limit_exits_three(self, capsys, json_flag):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "count-involutions", "--m", "3000", *json_flag)
+        assert code == 3 and out == "" and "T(3000)" in err and "budget" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_count_of_two_thousand_digits(self, capsys):
+        code, out, _ = run_cli(capsys, "count-involutions", "--m", "2000")
+        assert code == 0 and len(out.strip()) == 2886
+
     def test_claim1_table(self, capsys, table_path):
         code, out, _ = run_cli(capsys, "claim1", "--table", table_path)
         assert code == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from iterk.affine import AffineMapSpec
-from iterk.engine import KaryMap, iterate
+from iterk.engine import KaryMap, first_iterate, iterate
 from iterk.errors import ArityError, BudgetError
 from iterk.recurrence import (
     RecurrenceSpec,
@@ -103,6 +103,71 @@ class TestDetectMinimalPeriod:
         f = KaryMap(1, lambda s: {0: 5, 5: 1, 1: 1}[s[0]])
         found = detect_minimal_period(RecurrenceSpec(f, (0,)))
         assert found.minimal_period == 1 and found.preperiod == 2
+
+
+def reference_detect(spec, bound):
+    # the two-pass search: walk the states under the first iterate, then
+    # generate two state periods of terms and scan the divisors
+    k = spec.map.arity
+    seen, state, step = {}, tuple(spec.seed), 0
+    while (step + 1) * k <= bound and state not in seen:
+        seen[state] = step
+        state = first_iterate(spec.map, state)
+        step += 1
+    if state not in seen:
+        return None, 0, None
+    start, full = seen[state] * k, (step - seen[state]) * k
+    terms = generate(spec, start + 2 * full)
+    j = next(
+        d for d in range(1, full + 1)
+        if full % d == 0
+        and all(terms[start + i] == terms[start + i + d] for i in range(full))
+    )
+    r = start
+    while r > 0 and terms[r - 1] == terms[r - 1 + j]:
+        r -= 1
+    return j, r, r + j
+
+
+def first_repeat_step(spec):
+    seen, state = set(), tuple(spec.seed)
+    while state not in seen:
+        seen.add(state)
+        state = first_iterate(spec.map, state)
+    return len(seen)
+
+
+class TestDetectMatchesTwoPassReference:
+    def test_random_table_maps(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            m, k = rng.randint(1, 5), rng.randint(1, 3)
+            entries = [rng.randrange(m) for _ in range(m**k)]
+            f = FiniteTable.from_values(m, k, entries).as_map()
+            spec = RecurrenceSpec(f, tuple(rng.randrange(m) for _ in range(k)))
+            # the first bound that sees the repeated state, one below it,
+            # one under the arity, and random ones
+            edge = first_repeat_step(spec) * k
+            bounds = {edge, max(1, edge - 1), max(1, k - 1)}
+            bounds |= {rng.randint(1, 3 * k * m**k) for _ in range(3)}
+            for bound in sorted(bounds):
+                found = detect_minimal_period(spec, bound)
+                got = (found.minimal_period, found.preperiod, found.witness_index)
+                assert got == reference_detect(spec, bound), (entries, spec.seed, bound)
+
+    def test_each_term_applies_the_map_once(self):
+        # a(n+2) = 7 a(n) + a(n+1) mod 31 has a primitive characteristic
+        # polynomial, so from a nonzero seed the period is 31**2 - 1 = 960
+        calls = 0
+
+        def fn(s):
+            nonlocal calls
+            calls += 1
+            return (7 * s[0] + s[1]) % 31
+
+        found = detect_minimal_period(RecurrenceSpec(KaryMap(2, fn), (0, 1)), 2000)
+        assert (found.minimal_period, found.preperiod, found.witness_index) == (960, 0, 960)
+        assert calls <= 960 + 2
 
 
 class TestCorrespondenceReport:

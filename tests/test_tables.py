@@ -3,13 +3,15 @@
 import itertools
 import math
 import random
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterk import _kernels
+from iterk import _kernels, tables
 from iterk.engine import InducedContext, first_iterate, induced_self_map
 from iterk.errors import BudgetError, ParseError
 from iterk.tables import (
@@ -409,6 +411,16 @@ class TestInvolutionCounting:
         with pytest.raises(RuntimeError):
             count_involutions(4)
 
+    def test_count_past_the_digit_limit_is_a_budget_error(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(BudgetError, match=rf"T\(3000\) .* {limit}"):
+            count_involutions(3000)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert count_involutions(3000).bit_length() > limit * math.log2(10)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(str(count_involutions(2000))) == 2886
 
 def brute_ii_tables(m, k):
     # oracle for the fiber-built enumeration: filter every table directly
@@ -461,6 +473,48 @@ class TestEnumerateII:
                     if is_induced_involutory(t, n, j=1):
                         assert is_induced_involutory(t, n)
 
+
+def minus_sum_tables(m, k):
+    # (c - sum x) mod m for each c: for (3,3), (2,4) and (2,5) these are
+    # all the induced-involutory tables
+    states = list(itertools.product(range(m), repeat=k))
+    return sorted(tuple((c - sum(s)) % m for s in states) for c in range(m))
+
+
+class TestEnumerateSliceBySlice:
+    def test_matches_brute_force_filter_at_small_shapes(self):
+        for m, k in [(2, 1), (3, 1), (1, 3)]:
+            assert [t.values() for t in enumerate_ii_tables(m, k)] == brute_ii_tables(m, k)
+
+    def test_larger_shapes(self):
+        for m, k in [(3, 3), (2, 4), (2, 5)]:
+            assert [t.values() for t in enumerate_ii_tables(m, k)] == minus_sum_tables(m, k)
+
+    def test_filter_sees_few_candidates(self, monkeypatch):
+        seen = []
+        ii_filter = _kernels.ii_filter
+
+        def counting(batch, m, k):
+            seen.append(batch.shape[0])
+            return ii_filter(batch, m, k)
+
+        monkeypatch.setattr(_kernels, "ii_filter", counting)
+        assert len(list(enumerate_ii_tables(3, 3))) == 3
+        assert sum(seen) <= 100
+
+    def test_budget_is_checked_before_listing_involutions(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("involutions listed before the budget check")
+
+        monkeypatch.setattr(tables, "involutions", refuse)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"46206736\*\*\(16\*\*0\) candidate tables"):
+            next(enumerate_ii_tables(16, 1))
+        assert time.perf_counter() - start < 1.0
+
+    def test_filter_accepts_an_empty_batch(self):
+        mask = _kernels.ii_filter(np.empty((0, 9), np.int64), 3, 2)
+        assert mask.shape == (0,) and mask.dtype == bool
 
 class TestTextFormat:
     def test_round_trip(self):
