@@ -549,6 +549,66 @@ class TestTextFormat:
             loads_table("3 2\n0 1 2\n1 5 0\n2 0 1\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("3 2\n0 1 2\n1 x 0\n2 0 1\n", "bad value 'x'", 3, 3),
+            ("3 2\n0 1 2\n1 5 0\n2 0 1\n", "value 5 out of range 0..2", 3, 3),
+            ("3 2\n0 1 2\n1 -1 0\n2 0 1\n", "value -1 out of range 0..2", 3, 3),
+            (
+                "3 2\n0 1 2\n1 0 100000000000000000000\n2 0 1\n",
+                "value 100000000000000000000 out of range 0..2", 3, 5,
+            ),
+            # repeated tokens: the column is the token's own, not its first copy's
+            ("3 2\n1 1 1 1\n1 1 1 1 3\n", "value 3 out of range 0..2", 3, 9),
+            # the first bad token wins, whichever kind
+            ("3 1\n0 7 x\n", "value 7 out of range 0..2", 2, 3),
+            ("3 1\n0 x 7\n", "bad value 'x'", 2, 3),
+            # a wrong count is reported at the last token, before any bad value
+            ("3 2\n0 1 2\n1 2 0\n2 0 1 2\n", "expected 9 values for m=3, k=2, found 10", 4, 7),
+            ("3 2\n0 1 2\n1 2 0\n2  0\n", "expected 9 values for m=3, k=2, found 8", 4, 4),
+            ("3 2\nx 1 2\n1 2 0\n2 0\n", "expected 9 values for m=3, k=2, found 8", 4, 3),
+            ("# c\n3 2\n# d\n", "expected 9 values for m=3, k=2, found 0", 1, 1),
+            ("3 2\n0\t1\t2\n1\t2\t0\n\t2 \t0\t9\n", "value 9 out of range 0..2", 4, 7),
+            ("3 2\r\n0 1 2\r\n1 2 0\r\n2 0 x\r\n", "bad value 'x'", 4, 5),
+            ("3 2\n0 1 2\n# note 7\n\n  1 2 0\n\n# z\n2 0 7\n", "value 7 out of range 0..2", 8, 5),
+        ],
+    )
+    def test_error_message_line_and_column(self, text, message, line, column):
+        with pytest.raises(ParseError) as err:
+            loads_table(text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("3\n0 1 2\n", "header must be two integers: m k", 1),
+            ("# c\n\n  a b\n0\n", "header must be two integers: m k", 3),
+            ("0 2\n", "m and k must both be >= 1", 1),
+            ("# only a comment\n", "missing header line", 1),
+        ],
+    )
+    def test_header_errors_at_column_one(self, text, message, line):
+        with pytest.raises(ParseError) as err:
+            loads_table(text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, line, 1)
+
+    def test_oversized_header_is_refused_before_any_value(self):
+        with pytest.raises(BudgetError, match=r"^10\*\*7 states exceed the analysis budget of 1000000$"):
+            loads_table("10 7\nx\n")
+
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            ("3 2\n+0 1 +2\n1 2 0\n2 0 1\n", ADD_MOD3.values()),
+            ("11 1\n0 1 2 3 4 5 6 7 8 9 1_0\n", tuple(range(11))),
+            ("4 1\n٣ 0 1 2\n", (3, 0, 1, 2)),
+            ("3 2\r\n0\t1 2\r\n# c\r\n\r\n1 2 0 2 0 1\r\n", ADD_MOD3.values()),
+        ],
+    )
+    def test_python_integer_syntax_loads(self, text, values):
+        assert loads_table(text).values() == values
+
 
 class TestBudgets:
     def test_state_budget(self):
