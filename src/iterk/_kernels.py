@@ -52,8 +52,9 @@ def _is_bijective(perms):
 def induced_power(tables, m, k, axis, n):
     """n-th power of the self-maps that ``tables`` induce in argument ``axis``
     (0-based), as ``[N, m**(k-1), m]`` with one row per frozen context."""
-    grid = tables.reshape((tables.shape[0],) + (m,) * k)
-    maps = np.moveaxis(grid, 1 + axis, -1).reshape(tables.shape[0], m ** (k - 1), m)
+    # contexts are the arguments before and after ``axis``, in row-major order
+    grid = tables.reshape(tables.shape[0], m**axis, m, m ** (k - 1 - axis))
+    maps = grid.swapaxes(2, 3).reshape(tables.shape[0], m ** (k - 1), m)
     power = maps
     for _ in range(n - 1):
         power = np.take_along_axis(maps, power, axis=2)

@@ -13,6 +13,7 @@ than start an infeasible computation.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from dataclasses import dataclass, field
@@ -197,11 +198,19 @@ def cycle_report(t: FiniteTable, budget: int | None = None) -> CycleReport:
     head, to_head, length = head[on], to_head[on], length[on]
     # a cyclic state lies (length - to_head) % length steps past its head
     order = on[np.argsort(head * perm.shape[0] + (length - to_head) % length)]
-    states = tuple(order.tolist())
     sizes = length[head == on]
     bounds = [0] + np.cumsum(sizes).tolist()
-    cycles = tuple(states[a:b] for a, b in zip(bounds, bounds[1:]))
-    periods = dict(zip(states, np.repeat(sizes, sizes).tolist()))
+    # up to a million tuples and dict entries, none of them in a reference
+    # cycle: pausing the cyclic collector saves its repeated full scans
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        states = tuple(order.tolist())
+        cycles = tuple(states[a:b] for a, b in zip(bounds, bounds[1:]))
+        periods = dict(zip(states, np.repeat(sizes, sizes).tolist()))
+    finally:
+        if gc_was_on:
+            gc.enable()
     bijective = on.size == perm.shape[0]
     minimal = math.lcm(*set(sizes.tolist())) if bijective else None
     return CycleReport(bijective, cycles, minimal, periods)
@@ -279,12 +288,9 @@ def is_symmetric(t: FiniteTable) -> bool:
 
     Checked on adjacent transpositions only, which generate all permutations.
     """
-    if t.k == 1:
-        return True
-    grid = t.entries.reshape((t.m,) * t.k)
-    return all(
-        np.array_equal(grid, grid.swapaxes(i, i + 1)) for i in range(t.k - 1)
-    )
+    m, k = t.m, t.k
+    grids = (t.entries.reshape(m**i, m, m, m ** (k - 2 - i)) for i in range(k - 1))
+    return all(np.array_equal(grid, grid.swapaxes(1, 2)) for grid in grids)
 
 
 @dataclass(frozen=True)
@@ -351,9 +357,10 @@ def conjugate(t: FiniteTable, g: Sequence[int]) -> FiniteTable:
         raise ValueError("g must be a bijection")
     ginv = np.empty_like(arr)
     ginv[arr] = np.arange(t.m)
-    grid = t.entries.reshape((t.m,) * t.k)
-    conj = ginv[grid[np.ix_(*([arr] * t.k))]]
-    return FiniteTable(t.m, t.k, conj.reshape(-1))
+    grid = t.entries
+    for i in range(t.k):  # substitute g(y_i) for argument i
+        grid = grid.reshape(t.m**i, t.m, -1)[:, arr]
+    return FiniteTable(t.m, t.k, ginv[grid.reshape(-1)])
 
 
 # ---------------------------------------------------------------------------
@@ -504,37 +511,54 @@ def loads_table(text: str) -> FiniteTable:
 
     Lines whose first non-blank character is ``#`` are comments.  The first
     data line must hold the two integers m and k; the following tokens are
-    the m**k values in row-major order (last argument fastest).  A header
-    with more than :data:`STATE_BUDGET` states raises :class:`BudgetError`
-    before any value is read.
+    the m**k values in row-major order (last argument fastest), in Python
+    integer syntax.  A header with more than :data:`STATE_BUDGET` states
+    raises :class:`BudgetError` before any value is read.
+
+    The values are converted in one numpy pass; only when that fails (a
+    wrong count, a token that is no integer, a value out of range) are the
+    lines tokenized again, to raise a :class:`ParseError` at the first bad
+    token's line and column.
     """
-    tokens: list[tuple[str, int, int]] = []
-    header: tuple[int, int] | None = None
-    for ln, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for ln, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if header is None:
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError("header must be two integers: m k", ln, 1)
-            try:
-                m, k = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("header must be two integers: m k", ln, 1) from None
-            if m < 1 or k < 1:
-                raise ParseError("m and k must both be >= 1", ln, 1)
-            check_state_budget(m, k)
-            header = (m, k)
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise ParseError("header must be two integers: m k", ln, 1)
+        try:
+            m, k = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("header must be two integers: m k", ln, 1) from None
+        if m < 1 or k < 1:
+            raise ParseError("m and k must both be >= 1", ln, 1)
+        check_state_budget(m, k)
+        break
+    else:
+        raise ParseError("missing header line")
+    data = [line for line in lines[ln:] if not line.lstrip().startswith("#")]
+    try:
+        # FiniteTable checks the count and the range
+        return FiniteTable(m, k, np.array(" ".join(data).split(), dtype=np.int64))
+    except (ValueError, OverflowError):
+        _raise_at_first_bad_token(lines, ln, m, k)
+        raise
+
+
+def _raise_at_first_bad_token(lines: list[str], header_ln: int, m: int, k: int) -> None:
+    # walk the data lines after the header, tracking columns, and raise the
+    # ParseError for a wrong count (at the last token) or the first bad value
+    tokens: list[tuple[str, int, int]] = []
+    for ln, line in enumerate(lines[header_ln:], start=header_ln + 1):
+        if line.lstrip().startswith("#"):
             continue
         col = 1
         for tok in line.split():
             col = line.index(tok, col - 1) + 1
             tokens.append((tok, ln, col))
             col += len(tok)
-    if header is None:
-        raise ParseError("missing header line")
-    m, k = header
     expected = m**k
     if len(tokens) != expected:
         raise ParseError(
@@ -542,7 +566,6 @@ def loads_table(text: str) -> FiniteTable:
             tokens[-1][1] if tokens else 1,
             tokens[-1][2] if tokens else 1,
         )
-    values = []
     for tok, ln, col in tokens:
         try:
             v = int(tok)
@@ -550,8 +573,6 @@ def loads_table(text: str) -> FiniteTable:
             raise ParseError(f"bad value {tok!r}", ln, col) from None
         if not 0 <= v < m:
             raise ParseError(f"value {v} out of range 0..{m - 1}", ln, col)
-        values.append(v)
-    return FiniteTable.from_values(m, k, values)
 
 
 def load_table(path) -> FiniteTable:

@@ -4,8 +4,8 @@
 (``affine_iterate``'s ``it`` and its ``.field``) and passes some arguments
 by position, so a change to a public signature turns its ops into failures
 that only a benchmark run would count.  This runs the layer canary and every
-exact-algebra and period-sweep op once, traced, at one seed; the CLI
-requests and all timing are left to the benchmark itself.
+exact-algebra, period-sweep and finite-tables op once, traced, at one seed;
+the CLI requests and all timing are left to the benchmark itself.
 """
 
 import sys
@@ -19,6 +19,7 @@ sys.path.insert(0, str(BENCH))
 import canary  # noqa: E402
 import spans  # noqa: E402
 import wl_exact  # noqa: E402
+import wl_finite  # noqa: E402
 import wl_sweep  # noqa: E402
 
 
@@ -50,3 +51,11 @@ def test_period_sweep_ops_pass_their_checks(tracer, tmp_path):
     assert failed == []
     names = {s.name for s in tracer.spans}
     assert {"recurrence.detect_minimal_period", "_kernels.ii_filter"} <= names
+
+
+def test_finite_tables_ops_pass_their_checks(tracer, tmp_path):
+    workload = wl_finite.build(wl_finite.make_inputs(1), tracer, tmp_path)
+    failed = [op.name for op in workload.ops if not op.check(op.call())]
+    assert failed == []
+    names = {s.name for s in tracer.spans}
+    assert {"tables.loads_table", "tables.cycle_report", "_kernels.table_perm"} <= names

@@ -153,6 +153,11 @@ class TestEnumerationCommands:
         assert code == 0 and lines[0] == "count: 3"
         assert lines[1].split() == list("021210102")
 
+    def test_enumerate_past_numpy_dimension_limit(self, capsys):
+        # m = 1, k = 64 has one state but 64 arguments, past numpy's 64 axes
+        code, out, _ = run_cli(capsys, "enumerate-ii", "--m", "1", "--k", "64")
+        assert code == 0 and out.splitlines() == ["count: 1", "0"]
+
     def test_enumerate_budget_exit(self, capsys):
         code, _, err = run_cli(capsys, "enumerate-ii", "--m", "4", "--k", "3")
         assert code == 3 and "budget" in err

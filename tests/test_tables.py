@@ -169,6 +169,24 @@ class TestCycleReport:
         # (0,0) and (1,1) are the only states on cycles
         assert set(rep.per_point_period) == {0, 3}
 
+    def test_leaves_the_garbage_collector_as_it_found_it(self, monkeypatch):
+        import gc
+
+        was_on = gc.isenabled()
+        try:
+            gc.disable()
+            cycle_report(ADD_MOD3)
+            assert not gc.isenabled()
+            gc.enable()
+            cycle_report(ADD_MOD3)
+            assert gc.isenabled()
+            monkeypatch.setattr(tables, "zip", lambda *a: 1 / 0, raising=False)
+            with pytest.raises(ZeroDivisionError):
+                cycle_report(ADD_MOD3)
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was_on else gc.disable)()
+
     def test_minimal_order_is_lcm_of_cycle_lengths(self):
         rng = random.Random(3)
         found = 0
@@ -366,6 +384,23 @@ class TestConstructions:
     def test_conjugate_rejects_non_bijections(self):
         with pytest.raises(ValueError):
             conjugate(ADD_MOD3, [0, 0, 1])
+
+    def test_conjugate_matches_its_definition(self):
+        rng = random.Random(12)
+        for m, k in [(2, 1), (3, 2), (2, 4), (4, 3)]:
+            t = FiniteTable.from_values(m, k, [rng.randrange(m) for _ in range(m**k)])
+            g = list(range(m))
+            rng.shuffle(g)
+            ginv = [g.index(v) for v in range(m)]
+            want = FiniteTable.from_function(
+                m, k, lambda *y: ginv[t.apply(tuple(g[v] for v in y))]
+            )
+            assert conjugate(t, g) == want
+
+    def test_more_arguments_than_numpy_axes(self):
+        t = hat_id(1, 70)
+        assert is_symmetric(t) and is_induced_involutory(t, 2)
+        assert conjugate(t, [0]) == t
 
 
 class TestNegativeIterates:
