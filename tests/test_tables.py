@@ -551,6 +551,55 @@ class TestEnumerateSliceBySlice:
         mask = _kernels.ii_filter(np.empty((0, 9), np.int64), 3, 2)
         assert mask.shape == (0,) and mask.dtype == bool
 
+def reference_loads_table(text):
+    """The loader token by token: a column-tracked tuple and an int() per value."""
+    tokens, header = [], None
+    for ln, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if header is None:
+            parts = stripped.split()
+            if len(parts) != 2:
+                raise ParseError("header must be two integers: m k", ln, 1)
+            try:
+                m, k = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError("header must be two integers: m k", ln, 1) from None
+            if m < 1 or k < 1:
+                raise ParseError("m and k must both be >= 1", ln, 1)
+            header = (m, k)
+            continue
+        col = 1
+        for tok in line.split():
+            col = line.index(tok, col - 1) + 1
+            tokens.append((tok, ln, col))
+            col += len(tok)
+    if header is None:
+        raise ParseError("missing header line")
+    m, k = header
+    if len(tokens) != m**k:
+        last = tokens[-1][1:] if tokens else (1, 1)
+        raise ParseError(f"expected {m ** k} values for m={m}, k={k}, found {len(tokens)}", *last)
+    values = []
+    for tok, ln, col in tokens:
+        try:
+            v = int(tok)
+        except ValueError:
+            raise ParseError(f"bad value {tok!r}", ln, col) from None
+        if not 0 <= v < m:
+            raise ParseError(f"value {v} out of range 0..{m - 1}", ln, col)
+        values.append(v)
+    return FiniteTable.from_values(m, k, values)
+
+
+def load_outcome(load, text):
+    try:
+        return load(text)
+    except ParseError as err:
+        return (err.message, err.line, err.column)
+
+
 class TestTextFormat:
     def test_round_trip(self):
         assert loads_table(dumps_table(ADD_MOD3)) == ADD_MOD3
@@ -631,6 +680,31 @@ class TestTextFormat:
     def test_oversized_header_is_refused_before_any_value(self):
         with pytest.raises(BudgetError, match=r"^10\*\*7 states exceed the analysis budget of 1000000$"):
             loads_table("10 7\nx\n")
+
+    def test_matches_token_by_token_reference(self):
+        rng = random.Random(21)
+        bad = ["x", "1.0", "0x1", "_1", "²", "-1", "100000000000000000000", "#"]
+        good = ["+{}", "0{}", "{}", "\N{ARABIC-INDIC DIGIT ZERO}{}"]
+        for _ in range(400):
+            m, k = rng.randint(1, 4), rng.randint(1, 3)
+            toks = [rng.choice(good).format(rng.randrange(m)) for _ in range(m**k)]
+            fault = rng.randrange(5)
+            if fault == 1 and toks:
+                toks[rng.randrange(len(toks))] = rng.choice(bad + [str(m)])
+            elif fault == 2:
+                toks.insert(rng.randrange(len(toks) + 1), "0")
+            elif fault == 3:
+                del toks[rng.randrange(len(toks))]
+            lines = [f"{m} {k}"]
+            while toks:
+                n = rng.randint(1, 4)
+                sep = rng.choice([" ", "  ", "\t", " \t"])
+                lines.append(rng.choice(["", " ", "\t"]) + sep.join(toks[:n]))
+                toks = toks[n:]
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(["", "  ", "# 7 x", "  # 9"]))
+            text = rng.choice(["\n", "\r\n"]).join(lines) + "\n"
+            assert load_outcome(loads_table, text) == load_outcome(reference_loads_table, text), text
 
     @pytest.mark.parametrize(
         "text, values",
