@@ -1,5 +1,6 @@
 """Finite-table analysis: permutation structure, predicates, enumeration."""
 
+import gc
 import itertools
 import math
 import random
@@ -170,8 +171,6 @@ class TestCycleReport:
         assert set(rep.per_point_period) == {0, 3}
 
     def test_leaves_the_garbage_collector_as_it_found_it(self, monkeypatch):
-        import gc
-
         was_on = gc.isenabled()
         try:
             gc.disable()
