@@ -13,7 +13,6 @@ than start an infeasible computation.
 
 from __future__ import annotations
 
-import gc
 import math
 import sys
 from dataclasses import dataclass, field
@@ -198,19 +197,11 @@ def cycle_report(t: FiniteTable, budget: int | None = None) -> CycleReport:
     head, to_head, length = head[on], to_head[on], length[on]
     # a cyclic state lies (length - to_head) % length steps past its head
     order = on[np.argsort(head * perm.shape[0] + (length - to_head) % length)]
+    states = tuple(order.tolist())
     sizes = length[head == on]
     bounds = [0] + np.cumsum(sizes).tolist()
-    # up to a million tuples and dict entries, none of them in a reference
-    # cycle: pausing the cyclic collector saves its repeated full scans
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
-        states = tuple(order.tolist())
-        cycles = tuple(states[a:b] for a, b in zip(bounds, bounds[1:]))
-        periods = dict(zip(states, np.repeat(sizes, sizes).tolist()))
-    finally:
-        if gc_was_on:
-            gc.enable()
+    cycles = tuple(states[a:b] for a, b in zip(bounds, bounds[1:]))
+    periods = dict(zip(states, np.repeat(sizes, sizes).tolist()))
     bijective = on.size == perm.shape[0]
     minimal = math.lcm(*set(sizes.tolist())) if bijective else None
     return CycleReport(bijective, cycles, minimal, periods)
@@ -538,22 +529,25 @@ def loads_table(text: str) -> FiniteTable:
         break
     else:
         raise ParseError("missing header line")
-    data = [line for line in lines[ln:] if not line.lstrip().startswith("#")]
+    data = [
+        (i, line)
+        for i, line in enumerate(lines[ln:], start=ln + 1)
+        if not line.lstrip().startswith("#")
+    ]
     try:
         # FiniteTable checks the count and the range
-        return FiniteTable(m, k, np.array(" ".join(data).split(), dtype=np.int64))
+        tokens = " ".join(line for _, line in data).split()
+        return FiniteTable(m, k, np.array(tokens, dtype=np.int64))
     except (ValueError, OverflowError):
-        _raise_at_first_bad_token(lines, ln, m, k)
+        _raise_at_first_bad_token(data, m, k)
         raise
 
 
-def _raise_at_first_bad_token(lines: list[str], header_ln: int, m: int, k: int) -> None:
-    # walk the data lines after the header, tracking columns, and raise the
-    # ParseError for a wrong count (at the last token) or the first bad value
+def _raise_at_first_bad_token(data: list[tuple[int, str]], m: int, k: int) -> None:
+    # walk the numbered data lines, tracking columns, and raise the ParseError
+    # for a wrong count (at the last token) or the first bad value
     tokens: list[tuple[str, int, int]] = []
-    for ln, line in enumerate(lines[header_ln:], start=header_ln + 1):
-        if line.lstrip().startswith("#"):
-            continue
+    for ln, line in data:
         col = 1
         for tok in line.split():
             col = line.index(tok, col - 1) + 1

@@ -1,6 +1,5 @@
 """Finite-table analysis: permutation structure, predicates, enumeration."""
 
-import gc
 import itertools
 import math
 import random
@@ -169,22 +168,6 @@ class TestCycleReport:
         assert not rep.bijective and rep.minimal_order is None
         # (0,0) and (1,1) are the only states on cycles
         assert set(rep.per_point_period) == {0, 3}
-
-    def test_leaves_the_garbage_collector_as_it_found_it(self, monkeypatch):
-        was_on = gc.isenabled()
-        try:
-            gc.disable()
-            cycle_report(ADD_MOD3)
-            assert not gc.isenabled()
-            gc.enable()
-            cycle_report(ADD_MOD3)
-            assert gc.isenabled()
-            monkeypatch.setattr(tables, "zip", lambda *a: 1 / 0, raising=False)
-            with pytest.raises(ZeroDivisionError):
-                cycle_report(ADD_MOD3)
-            assert gc.isenabled()
-        finally:
-            (gc.enable if was_on else gc.disable)()
 
     def test_minimal_order_is_lcm_of_cycle_lengths(self):
         rng = random.Random(3)
@@ -549,6 +532,7 @@ class TestEnumerateSliceBySlice:
     def test_filter_accepts_an_empty_batch(self):
         mask = _kernels.ii_filter(np.empty((0, 9), np.int64), 3, 2)
         assert mask.shape == (0,) and mask.dtype == bool
+
 
 def reference_loads_table(text):
     """The loader token by token: a column-tracked tuple and an int() per value."""
