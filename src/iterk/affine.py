@@ -256,12 +256,12 @@ def linear_roots_checks(
     if which == "induced-1":
         res = (a**c) * x1 + b * ((one - a**c) / (one - a)) * x2
         if c % order == 0 and not res.equals(x1):
-            raise AssertionError("induced cycle failed to return its argument")
+            raise RuntimeError("induced cycle failed to return its argument")
         return (res, x2)
     if which == "induced-2":
         res = (b**c) * x2 + a * ((one - b**c) / (one - b)) * x1
         if c % order == 0 and not res.equals(x2):
-            raise AssertionError("induced cycle failed to return its argument")
+            raise RuntimeError("induced cycle failed to return its argument")
         return (x1, res)
     if which == "full":
         f0, f1, f2 = _fib_triple(c)

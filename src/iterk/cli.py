@@ -164,8 +164,12 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_point_order(args) -> int:
-    fmap, seed = _map_and_seed(args)
-    order = engine.point_involutory_order(fmap, seed, args.bound)
+    if args.map_def is None:
+        # exact: the seed's trajectory closes within m**k steps
+        t = tables.load_table(args.table)
+        order = tables.table_point_order(t, _table_seed(args, t))
+    else:
+        order = engine.point_involutory_order(*_map_and_seed(args), args.bound)
     _emit(args, [str(order) if order else "none"], {"point_order": order})
     return EXIT_OK
 
@@ -513,7 +517,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("point-order", help="minimal n with the n-th iterate fixing the seed")
     _add_input_options(s, seed=True)
-    s.add_argument("--bound", type=int, default=1000)
+    s.add_argument("--bound", type=int, default=1000, help="search bound for definitions only")
     s.set_defaults(fn=_cmd_point_order)
 
     s = sp.add_parser("check-ii", help="induced involutivity of order n")

@@ -100,7 +100,7 @@ class FiniteTable:
         return KaryMap(self.k, lambda s: self.apply(s), name=f"table{self.m}x{self.k}")
 
     def values(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.entries)
+        return tuple(self.entries.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, FiniteTable):
@@ -172,17 +172,17 @@ class CycleReport:
         return tuple(sorted((len(c) for c in self.cycles), reverse=True))
 
 
-def as_permutation(t: FiniteTable, budget: int | None = None) -> np.ndarray | None:
-    """The first iterate as a permutation array, or None if not injective."""
+def _first_iterate(t: FiniteTable, budget: int | None = None) -> tuple[np.ndarray, bool]:
+    # the first iterate as a map on state indices, and whether it is injective
     check_state_budget(t.m, t.k, budget)
     perm, injective = _kernels.table_perm(t.entries, t.m, t.k)
-    return np.asarray(perm) if injective else None
+    return np.asarray(perm), injective
 
 
-def _first_iterate_map(t: FiniteTable, budget: int | None = None) -> np.ndarray:
-    check_state_budget(t.m, t.k, budget)
-    perm, _ = _kernels.table_perm(t.entries, t.m, t.k)
-    return np.asarray(perm)
+def as_permutation(t: FiniteTable, budget: int | None = None) -> np.ndarray | None:
+    """The first iterate as a permutation array, or None if not injective."""
+    perm, injective = _first_iterate(t, budget)
+    return perm if injective else None
 
 
 def cycle_report(t: FiniteTable, budget: int | None = None) -> CycleReport:
@@ -191,7 +191,7 @@ def cycle_report(t: FiniteTable, budget: int | None = None) -> CycleReport:
     Cycles are listed by ascending smallest member and each starts at its
     smallest member, so the output is canonical.
     """
-    perm = _first_iterate_map(t, budget)
+    perm, bijective = _first_iterate(t, budget)
     head, to_head, length = _kernels.cycles(perm, perm.shape[0])
     on = np.flatnonzero(length)
     head, to_head, length = head[on], to_head[on], length[on]
@@ -202,7 +202,6 @@ def cycle_report(t: FiniteTable, budget: int | None = None) -> CycleReport:
     bounds = [0] + np.cumsum(sizes).tolist()
     cycles = tuple(states[a:b] for a, b in zip(bounds, bounds[1:]))
     periods = dict(zip(states, np.repeat(sizes, sizes).tolist()))
-    bijective = on.size == perm.shape[0]
     minimal = math.lcm(*set(sizes.tolist())) if bijective else None
     return CycleReport(bijective, cycles, minimal, periods)
 
@@ -219,35 +218,35 @@ def is_n_involutory(t: FiniteTable, n: int, budget: int | None = None) -> bool:
     return report.bijective and n % report.minimal_order == 0
 
 
-def table_iterate(t: FiniteTable, state: Sequence[int], n: int) -> tuple[int, ...]:
-    """n-th iterate at one state; negative n uses the inverse permutation."""
+def _trajectory(t: FiniteTable, state: Sequence[int]) -> tuple[list[int], int, bool]:
+    # the state indices from ``state`` up to the first repeat, how many of
+    # them lead into the cycle, and whether the first iterate is injective
     if len(state) != t.k:
         raise ArityError(f"state length {len(state)} != arity {t.k}")
     idx = state_index(state, t.m)
-    if n >= 0:
-        perm = _first_iterate_map(t)
-    else:
-        fwd = as_permutation(t)
-        if fwd is None:
-            raise ValueError("negative iterates need a bijective first iterate")
-        perm = np.empty_like(fwd)
-        perm[fwd] = np.arange(fwd.shape[0])
-        n = -n
-    # follow the trajectory, shortcutting once it closes into a cycle
-    first_seen: dict[int, int] = {}
-    step = 0
-    while step < n:
-        if idx in first_seen:
-            cycle_len = step - first_seen[idx]
-            n = step + (n - step) % cycle_len
-            if step == n:
-                break
-            first_seen.clear()
-        else:
-            first_seen[idx] = step
-        idx = int(perm[idx])
-        step += 1
-    return state_from_index(idx, t.m, t.k)
+    perm, injective = _first_iterate(t)
+    seen: dict[int, int] = {}
+    while idx not in seen:
+        seen[idx] = len(seen)
+        idx = perm.item(idx)
+    return list(seen), seen[idx], injective
+
+
+def table_iterate(t: FiniteTable, state: Sequence[int], n: int) -> tuple[int, ...]:
+    """n-th iterate at one state, read off its trajectory: past the path, n
+    is reduced modulo its cycle.  Negative n needs a bijective first iterate."""
+    path, tail, injective = _trajectory(t, state)
+    if n < 0 and not injective:
+        raise ValueError("negative iterates need a bijective first iterate")
+    i = n if 0 <= n < len(path) else tail + (n - tail) % (len(path) - tail)
+    return state_from_index(path[i], t.m, t.k)
+
+
+def table_point_order(t: FiniteTable, state: Sequence[int]) -> int | None:
+    """Smallest n >= 1 with the n-th iterate fixing ``state``: its cycle
+    length, or None when no cycle passes through it.  Exact, not bounded."""
+    path, tail, _ = _trajectory(t, state)
+    return len(path) if tail == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +479,7 @@ def enumerate_ii_tables(
         # cand[c, i * m + v] is entry i of slice choice[c, v]: x_kk = v is fastest
         cand = rows[choice].transpose(0, 2, 1).reshape(n_rows**m, m**kk)
         rows = cand[_kernels.ii_filter(cand, m, kk)]
-    for row in sorted(tuple(int(v) for v in row) for row in rows):
+    for row in sorted(map(tuple, rows.tolist())):
         yield FiniteTable.from_values(m, k, row)
 
 
@@ -489,12 +488,8 @@ def enumerate_ii_tables(
 
 def dumps_table(t: FiniteTable) -> str:
     """Serialize: header "m k", then all entries row-major."""
-    lines = [f"{t.m} {t.k}"]
-    vals = t.values()
-    width = t.m
-    for start in range(0, len(vals), width):
-        lines.append(" ".join(str(v) for v in vals[start : start + width]))
-    return "\n".join(lines) + "\n"
+    rows = t.entries.reshape(-1, t.m).tolist()
+    return "\n".join([f"{t.m} {t.k}"] + [" ".join(map(str, row)) for row in rows]) + "\n"
 
 
 def loads_table(text: str) -> FiniteTable:

@@ -117,6 +117,25 @@ class TestOrderAndCycles:
         )
         assert code == 0 and out.strip() == "4"
 
+    def test_table_point_order_is_exact_past_the_bound(self, capsys, tmp_path):
+        # x1 xor x3 with k = 11 is a maximal shift register: every nonzero
+        # state lies on one cycle of 2**11 - 1 states, past --bound 1000
+        path = tmp_path / "lfsr.tbl"
+        path.write_text(dumps_table(FiniteTable.from_function(2, 11, lambda *x: x[0] ^ x[2])))
+        seed = ["--table", str(path), "--seed", ",".join("0" * 10 + "1")]
+        code, out, _ = run_cli(capsys, "point-order", *seed)
+        assert code == 0 and out.strip() == "2047"
+        code, out, _ = run_cli(capsys, "point-order", *seed, "--json")
+        assert code == 0 and json.loads(out) == {"point_order": 2047}
+        zero = ["--table", str(path), "--seed", ",".join("0" * 11)]
+        code, out, _ = run_cli(capsys, "point-order", *zero)
+        assert code == 0 and out.strip() == "1"
+        # f(x1, x2) = x2 sends (0, 1) to the fixed state (1, 1)
+        path = tmp_path / "second.tbl"
+        path.write_text(dumps_table(FiniteTable.from_function(2, 2, lambda a, b: b)))
+        code, out, _ = run_cli(capsys, "point-order", "--table", str(path), "--seed", "0,1")
+        assert code == 0 and out.strip() == "none"
+
     def test_orbit(self, capsys, table_path):
         code, out, _ = run_cli(
             capsys, "orbit", "--table", table_path, "--seed", "0,1", "--max-steps", "10"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterk import _kernels, tables
-from iterk.engine import InducedContext, first_iterate, induced_self_map
+from iterk.engine import InducedContext, first_iterate, induced_self_map, point_involutory_order
 from iterk.errors import BudgetError, ParseError
 from iterk.tables import (
     FiniteTable,
@@ -37,6 +37,7 @@ from iterk.tables import (
     state_from_index,
     state_index,
     table_iterate,
+    table_point_order,
     tables_exceed,
 )
 
@@ -402,6 +403,60 @@ class TestNegativeIterates:
         t = FiniteTable.from_function(2, 2, lambda a, b: b)
         with pytest.raises(ValueError):
             table_iterate(t, (0, 1), -1)
+
+
+def trajectory_tables(seed):
+    """Seeded random tables for m 1..4, k 1..3, and for each shape one
+    bijective (c - sum x) mod m table relabelled by a permutation."""
+    rng = np.random.default_rng(seed)
+    for m in range(1, 5):
+        for k in range(1, 4):
+            for _ in range(2):
+                yield FiniteTable(m, k, rng.integers(0, m, size=m**k))
+            c = int(rng.integers(m))
+            base = FiniteTable.from_function(m, k, lambda *x: (c - sum(x)) % m)
+            yield conjugate(base, rng.permutation(m).tolist())
+
+
+class TestTrajectoryQueries:
+    """table_iterate and table_point_order against the reference engine."""
+
+    def test_iterates_match_the_engine(self):
+        for t in trajectory_tables(41):
+            f = t.as_map()
+            for idx in range(0, t.n_states, -(-t.n_states // 16)):
+                # engine.iterate(f, s, n) for n = 0, 1, ..., one step at a time
+                walk = [state_from_index(idx, t.m, t.k)]
+                for _ in range(3 * t.n_states):
+                    walk.append(first_iterate(f, walk[-1]))
+                for n, want in enumerate(walk):
+                    assert table_iterate(t, walk[0], n) == want
+                # far counts reduce through the tail and the cycle of the walk
+                first = {}
+                for i, s in enumerate(walk):
+                    if s in first:
+                        break
+                    first[s] = i
+                tail, cycle = first[s], i - first[s]
+                for n in (10**9, 10**9 + 1, 10**9 + 7):
+                    assert table_iterate(t, walk[0], n) == walk[tail + (n - tail) % cycle]
+
+    def test_negative_counts_undo_positive_ones(self):
+        for t in trajectory_tables(43):
+            if as_permutation(t) is None:
+                continue
+            for idx in range(t.n_states):
+                s = state_from_index(idx, t.m, t.k)
+                for n in (1, 2, t.n_states + 3, 10**9 + 7):
+                    assert table_iterate(t, table_iterate(t, s, n), -n) == s
+                    assert table_iterate(t, table_iterate(t, s, -n), n) == s
+
+    def test_point_order_matches_the_engine_scan(self):
+        for t in trajectory_tables(47):
+            f = t.as_map()
+            for idx in range(t.n_states):
+                s = state_from_index(idx, t.m, t.k)
+                assert table_point_order(t, s) == point_involutory_order(f, s, t.n_states)
 
 
 class TestInvolutionCounting:
