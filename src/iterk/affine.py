@@ -3,8 +3,9 @@
 For an affine map the first iterate is itself affine: an exact k-by-k
 matrix plus offset vector, read off :func:`engine.first_iterate` at the zero
 state and the unit vectors.  Matrix products are numpy ``dtype=object``
-products over the exact scalars, and iterates are matrix powers of the
-homogeneous (k+1)-form.  The scalar domain is either the rationals or a
+products over the exact scalars.  The n-th iterate is the n-th power of the
+(matrix, offset) pair, taken by square-and-multiply and applied to the state
+as it goes; no homogeneous (k+1)-matrix is formed.  The scalar domain is either the rationals or a
 cyclotomic field, both through the same code; nothing here touches floating
 point except :func:`decreasing_involution_residuals`, which numerically
 probes a conjugacy identity between a strictly decreasing involution on the
@@ -94,20 +95,25 @@ def build_first_iterate(spec: AffineMapSpec) -> AffineFirstIterate:
 
 
 def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
-    """n-th iterate via square-and-multiply on the homogeneous (k+1)-form."""
+    """n-th iterate by square-and-multiply on the (matrix, offset) pair.
+
+    Bit j of n applies (A_j, b_j), the 2**j-th iterate, to the state; the
+    next pair is its square, (A_j @ A_j, A_j @ b_j + b_j).  At n = 0 the
+    state comes back with its own element types.
+    """
     if len(state) != it.arity:
         raise ArityError(f"state length {len(state)} != arity {it.arity}")
     if n < 0:
         raise ValueError(f"iterate count must be >= 0, got {n}")
-    zero, one = it.field.zero(), it.field.one()
-    k = it.arity
-    h = np.array(
-        [tuple(row) + (off,) for row, off in zip(it.matrix, it.offset)]
-        + [(zero,) * k + (one,)],
-        dtype=object,
-    )
-    ext = np.array(tuple(state) + (one,), dtype=object)
-    return tuple(np.linalg.matrix_power(h, n) @ ext)[:k]
+    a, b = np.array(it.matrix, dtype=object), np.array(it.offset, dtype=object)
+    v = np.array(state, dtype=object)
+    while n:
+        if n & 1:
+            v = a @ v + b
+        n >>= 1
+        if n:
+            a, b = a @ a, a @ b + b
+    return tuple(v)
 
 
 def affine_involutory_order(it: AffineFirstIterate, bound: int) -> int | None:

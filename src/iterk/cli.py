@@ -12,23 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from fractions import Fraction
-from importlib import resources
 
-from . import affine, engine, recurrence, tables
+# each command imports the iterk modules it uses, so that `iterate --def`
+# never loads numpy and a table command reads the parser only for a seed
 from .errors import ArityError, BudgetError, NonAffineError, ParseError
-from .exactnum import RationalField
-from .parser import (
-    MapDef,
-    eval_scalar,
-    field_of,
-    parse_map_def,
-    parse_seed,
-    to_affine,
-    to_kary_map,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -56,16 +44,20 @@ def _emit(args, text_lines, payload) -> None:
 # ---------------------------------------------------------------------------
 # input plumbing
 
-def _seed_field(args, d: MapDef):
+def _seed_field(args, d):
     # smallest field holding the definition plus every seed scalar
+    from . import parser
+
     seed = getattr(args, "seed", None)
-    return field_of(d.expr, *(parse_seed(seed) if seed else ()))
+    return parser.field_of(d.expr, *(parser.parse_seed(seed) if seed else ()))
 
 
-def _def_seed(args, d: MapDef, field) -> tuple:
+def _def_seed(args, d, field) -> tuple:
+    from . import parser
+
     if not getattr(args, "seed", None):
         raise ParseError("--seed is required for this command")
-    values = tuple(eval_scalar(e, field) for e in parse_seed(args.seed))
+    values = tuple(parser.eval_scalar(e, field) for e in parser.parse_seed(args.seed))
     if len(values) != d.arity:
         raise ArityError(
             f"seed has {len(values)} components but the map has arity {d.arity}"
@@ -73,13 +65,15 @@ def _def_seed(args, d: MapDef, field) -> tuple:
     return values
 
 
-def _table_seed(args, t: tables.FiniteTable) -> tuple:
+def _table_seed(args, t) -> tuple:
+    from . import exactnum, parser
+
     if not getattr(args, "seed", None):
         raise ParseError("--seed is required for this command")
-    rational = RationalField()
+    rational = exactnum.RationalField()
     values = []
-    for expr in parse_seed(args.seed):
-        v = eval_scalar(expr, rational)
+    for expr in parser.parse_seed(args.seed):
+        v = parser.eval_scalar(expr, rational)
         if v.denominator != 1:
             raise ParseError(f"table seeds must be integers, got {v}")
         values.append(int(v))
@@ -95,7 +89,11 @@ def _table_seed(args, t: tables.FiniteTable) -> tuple:
 
 def _input_map(args) -> tuple[str, object]:
     if args.map_def is not None:
-        return "def", parse_map_def(args.map_def)
+        from . import parser
+
+        return "def", parser.parse_map_def(args.map_def)
+    from . import tables
+
     return "table", tables.load_table(args.table)
 
 
@@ -116,24 +114,32 @@ def _map_and_seed(args) -> tuple:
     kind, obj = _input_map(args)
     if kind == "table":
         return obj.as_map(), _table_seed(args, obj)
+    from . import parser
+
     field = _seed_field(args, obj)
-    return to_kary_map(obj, field), _def_seed(args, obj, field)
+    return parser.to_kary_map(obj, field), _def_seed(args, obj, field)
 
 
 def _cmd_iterate(args) -> int:
     if args.n < 0:
         raise ValueError(f"iterate count must be >= 0, got {args.n}")
     if args.map_def is None:
+        from . import tables
+
         # a table's orbit closes within m**k steps, so any n costs at most that
         t = tables.load_table(args.table)
         result = tables.table_iterate(t, _table_seed(args, t), args.n)
     else:
+        from . import engine
+
         result = engine.iterate(*_map_and_seed(args), args.n)
     _emit(args, [_render_state(result)], {"state": [str(v) for v in result]})
     return EXIT_OK
 
 
 def _cmd_orbit(args) -> int:
+    from . import engine
+
     fmap, seed = _map_and_seed(args)
     orb = engine.orbit(fmap, seed, args.max_steps)
     lines = [_render_state(s) for s in orb.states]
@@ -152,10 +158,14 @@ def _cmd_orbit(args) -> int:
 def _cmd_order(args) -> int:
     kind, obj = _input_map(args)
     if kind == "table":
+        from . import tables
+
         report = tables.cycle_report(obj)
         order = report.minimal_order
     else:
-        spec = to_affine(obj)
+        from . import affine, parser
+
+        spec = parser.to_affine(obj)
         order = affine.affine_involutory_order(
             affine.build_first_iterate(spec), args.bound
         )
@@ -165,16 +175,22 @@ def _cmd_order(args) -> int:
 
 def _cmd_point_order(args) -> int:
     if args.map_def is None:
+        from . import tables
+
         # exact: the seed's trajectory closes within m**k steps
         t = tables.load_table(args.table)
         order = tables.table_point_order(t, _table_seed(args, t))
     else:
+        from . import engine
+
         order = engine.point_involutory_order(*_map_and_seed(args), args.bound)
     _emit(args, [str(order) if order else "none"], {"point_order": order})
     return EXIT_OK
 
 
 def _cmd_check_ii(args) -> int:
+    from . import tables
+
     t = tables.load_table(args.table)
     flag = tables.is_induced_involutory(t, args.n, args.arg)
     _emit(args, ["true" if flag else "false"], {"induced_involutory": flag})
@@ -182,6 +198,8 @@ def _cmd_check_ii(args) -> int:
 
 
 def _cmd_symmetric(args) -> int:
+    from . import tables
+
     t = tables.load_table(args.table)
     flag = tables.is_symmetric(t)
     _emit(args, ["true" if flag else "false"], {"symmetric": flag})
@@ -189,6 +207,8 @@ def _cmd_symmetric(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
+    from . import tables
+
     t = tables.load_table(args.table)
     rep = tables.cycle_report(t)
     lines = [
@@ -212,6 +232,8 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_enumerate_ii(args) -> int:
+    from . import tables
+
     found = list(tables.enumerate_ii_tables(args.m, args.k))
     lines = [f"count: {len(found)}"]
     lines += [" ".join(str(v) for v in t.values()) for t in found]
@@ -224,6 +246,8 @@ def _cmd_enumerate_ii(args) -> int:
 
 
 def _cmd_count_involutions(args) -> int:
+    from . import tables
+
     count = tables.count_involutions(args.m)
     if args.brute:
         brute = tables.count_involutions_brute(args.m)
@@ -235,6 +259,8 @@ def _cmd_count_involutions(args) -> int:
 
 
 def _cmd_claim1(args) -> int:
+    from . import recurrence, tables
+
     if args.table is not None:
         t = tables.load_table(args.table)
         rep = recurrence.cycle_correspondence_report(t)
@@ -294,7 +320,11 @@ def _cmd_claim1(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    from . import recurrence
+
     if args.table is not None:
+        from . import tables
+
         t = tables.load_table(args.table)
         tables.check_state_budget(t.m, args.to)
         lifted = recurrence.augment(t.as_map(), args.to)
@@ -308,12 +338,14 @@ def _cmd_augment(args) -> int:
             {"m": t.m, "k": args.to, "entries": list(lifted_table.values())},
         )
         return EXIT_OK
-    d = parse_map_def(args.map_def)
+    from . import parser
+
+    d = parser.parse_map_def(args.map_def)
     if not args.seed:
         raise ParseError("--seed is required when augmenting a definition")
     field = _seed_field(args, d)
-    lifted = recurrence.augment(to_kary_map(d, field), args.to)
-    values = tuple(eval_scalar(e, field) for e in parse_seed(args.seed))
+    lifted = recurrence.augment(parser.to_kary_map(d, field), args.to)
+    values = tuple(parser.eval_scalar(e, field) for e in parser.parse_seed(args.seed))
     if len(values) != args.to:
         raise ArityError(
             f"seed has {len(values)} components but the lifted arity is {args.to}"
@@ -324,6 +356,8 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_conjugate(args) -> int:
+    from . import tables
+
     t = tables.load_table(args.table)
     g = _perm_arg(args.perm, t.m)
     conj = tables.conjugate(t, g)
@@ -339,16 +373,24 @@ def _cmd_conjugate(args) -> int:
 # ---------------------------------------------------------------------------
 # verify-examples: golden end-to-end checks through the parser and loader
 
-def _data_table(name: str) -> tables.FiniteTable:
+def _data_table(name: str):
+    from importlib import resources
+
+    from . import tables
+
     text = resources.files("iterk").joinpath(f"data/{name}").read_text()
     return tables.loads_table(text)
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
+def _rand_fraction(rng):
+    from fractions import Fraction
+
     return Fraction(rng.randint(-99, 99), rng.randint(1, 20))
 
 
 def _golden_table_checks(name: str, lengths, order):
+    from . import tables
+
     t = _data_table(name)
     rep = tables.cycle_report(t)
     label = name.removesuffix(".tbl")
@@ -364,10 +406,12 @@ def _golden_table_checks(name: str, lengths, order):
             yield f"{label}-persymmetric", persym, "antidiagonal symmetry"
 
 
-def _pair_sum_check(rng: random.Random):
-    d = parse_map_def("f(x1,x2) = x1 + x2")
-    fmap = to_kary_map(d)
-    it = affine.build_first_iterate(to_affine(d))
+def _pair_sum_check(rng):
+    from . import affine, engine, parser
+
+    d = parser.parse_map_def("f(x1,x2) = x1 + x2")
+    fmap = parser.to_kary_map(d)
+    it = affine.build_first_iterate(parser.to_affine(d))
     for _ in range(100):
         seed = (_rand_fraction(rng), _rand_fraction(rng))
         current = seed
@@ -380,15 +424,17 @@ def _pair_sum_check(rng: random.Random):
     return True, "closed form == engine == matrix power, n <= 30, 100 seeds"
 
 
-def _sum_map_check(rng: random.Random):
+def _sum_map_check(rng):
+    from . import affine, engine, parser
+
     for k in range(1, 6):
         a = _rand_fraction(rng)
         vars_ = ",".join(f"x{i}" for i in range(1, k + 1))
         body = " - ".join([f"{a.numerator}/{a.denominator}"] + [f"x{i}" for i in range(1, k + 1)])
-        d = parse_map_def(f"f({vars_}) = {body}")
-        spec = to_affine(d)
+        d = parser.parse_map_def(f"f({vars_}) = {body}")
+        spec = parser.to_affine(d)
         it = affine.build_first_iterate(spec)
-        fmap = to_kary_map(d)
+        fmap = parser.to_kary_map(d)
         order = affine.affine_involutory_order(it, 50)
         if order != k + 1:
             return False, f"k={k}: minimal order {order} != {k + 1}"
@@ -402,10 +448,12 @@ def _sum_map_check(rng: random.Random):
 
 
 def _roots_check():
-    d = parse_map_def("f(x1,x2) = zeta(3)*x1 + zeta(3)^2*x2")
+    from . import affine, engine, parser
+
+    d = parser.parse_map_def("f(x1,x2) = zeta(3)*x1 + zeta(3)^2*x2")
     fld = d.field()
-    fmap = to_kary_map(d)
-    it = affine.build_first_iterate(to_affine(d))
+    fmap = parser.to_kary_map(d)
+    it = affine.build_first_iterate(parser.to_affine(d))
     pts = [
         fld.coerce(0),
         fld.coerce(1),
@@ -432,9 +480,11 @@ def _roots_check():
     return True, "induced cycles, product form vs engine, no global order, asymmetric"
 
 
-def _augment_check(rng: random.Random):
-    d = parse_map_def("f(x1,x2) = 3/2 - x1 - x2")
-    lifted = recurrence.augment(to_kary_map(d), 3)
+def _augment_check(rng):
+    from . import parser, recurrence
+
+    d = parser.parse_map_def("f(x1,x2) = 3/2 - x1 - x2")
+    lifted = recurrence.augment(parser.to_kary_map(d), 3)
     for _ in range(1000):
         s = tuple(_rand_fraction(rng) for _ in range(3))
         if lifted.apply(s) != s[0]:
@@ -443,6 +493,8 @@ def _augment_check(rng: random.Random):
 
 
 def _cmd_verify_examples(args) -> int:
+    import random
+
     rng = random.Random(20260808)
     results: list[tuple[str, bool, str]] = []
     results.extend(_golden_table_checks("add_mod3.tbl", (4, 4, 1), 4))

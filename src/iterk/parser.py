@@ -24,9 +24,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
-from .affine import AffineMapSpec
 from .engine import KaryMap
 from .errors import NonAffineError, ParseError
 from .exactnum import (
@@ -35,6 +34,9 @@ from .exactnum import (
     Field,
     RationalField,
 )
+
+if TYPE_CHECKING:  # affine needs numpy, which parsing and evaluation do not
+    from .affine import AffineMapSpec
 
 # --- abstract syntax -------------------------------------------------------
 
@@ -415,6 +417,8 @@ def to_kary_map(d: MapDef, field: Field | None = None) -> KaryMap:
 
 def to_affine(d: MapDef, field: Field | None = None) -> AffineMapSpec:
     """Extract exact affine form; reject anything of higher degree."""
+    from .affine import AffineMapSpec
+
     fld = d.field() if field is None else field
     zero = fld.zero()
 

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from iterk.affine import (
@@ -67,6 +68,11 @@ class TestAffineIterate:
     def test_negated_sum_one_step(self):
         it = build_first_iterate(AffineMapSpec.rational((-1, -1)))
         assert affine_iterate(it, (Fraction(1), Fraction(2)), 1) == (-3, 1)
+
+    def test_zero_iterate_returns_the_state_as_given(self):
+        it = build_first_iterate(AffineMapSpec.rational((1, 1), 2))
+        out = affine_iterate(it, (1, 2), 0)
+        assert out == (1, 2) and all(type(v) is int for v in out)
 
     def test_dimension_mismatch(self):
         it = build_first_iterate(AffineMapSpec.rational((1, 1)))
@@ -156,6 +162,68 @@ class TestDifferentialAgainstEngine:
             for bound in (spec.arity, 12):
                 assert affine_involutory_order(it, bound) == engine_order(spec, bound)
 
+
+def homogeneous_iterate(it, state, n):
+    """The n-th power of the homogeneous (k+1)-matrix [[A, b], [0, 1]]
+    applied to (state, 1): the reference formulation for the pair powers."""
+    zero, one, k = it.field.zero(), it.field.one(), it.arity
+    h = np.array(
+        [row + (off,) for row, off in zip(it.matrix, it.offset)] + [(zero,) * k + (one,)],
+        dtype=object,
+    )
+    return tuple(np.linalg.matrix_power(h, n) @ np.array(tuple(state) + (one,), dtype=object))[:k]
+
+
+# n = 0 and 1, and either side of every power of two up to 2**8: each place
+# where square-and-multiply gains a bit or stops squaring
+BIT_BOUNDARIES = sorted({0, 1} | {2**j + d for j in range(1, 9) for d in (-1, 0, 1)})
+
+
+def monomial_spec(rng, fld, k):
+    """x -> u * x_j + A for a random unit u = +-zeta**p and position j: every
+    power of its matrix has one nonzero entry per row, a unit, so the numbers
+    stay small however large n is."""
+    u = fld.coerce(rng.choice((-1, 1)))
+    if not isinstance(fld, RationalField):
+        u = u * fld.zeta(rng.randrange(fld.order))
+    coeffs = [fld.zero()] * k
+    coeffs[rng.randrange(k)] = u
+    return AffineMapSpec(k, tuple(coeffs), random_element(rng, fld), fld)
+
+
+class TestBitBoundaries:
+    @pytest.mark.parametrize("fld", FIELDS, ids=str)
+    def test_pair_powers_match_homogeneous_powers_and_engine(self, fld):
+        rng = random.Random(f"bits {fld}")
+        specs = [monomial_spec(rng, fld, k) for k in range(1, 6)]
+        if isinstance(fld, RationalField):
+            # dense maps whose numbers pass a few hundred bits by n = 257:
+            # cheap over Q, seconds per map over Q(zeta)
+            specs += [random_spec(rng, fld, k) for k in range(1, 6)]
+        for spec in specs:
+            it = build_first_iterate(spec)
+            f = spec.as_kary_map()
+            state = tuple(random_element(rng, fld) for _ in range(spec.arity))
+            current = state
+            for n in range(BIT_BOUNDARIES[-1] + 1):
+                if n in BIT_BOUNDARIES:
+                    got = affine_iterate(it, state, n)
+                    want = homogeneous_iterate(it, state, n)
+                    assert got == want == current
+                    assert [type(v) for v in got] == [type(v) for v in want]
+                current = first_iterate(f, current)
+
+    @pytest.mark.parametrize("fld", FIELDS, ids=str)
+    def test_finite_order_map_at_n_1000(self, fld):
+        # A - sum(x) has order k + 1, so the 1000-th iterate is a short one
+        rng = random.Random(f"order {fld}")
+        for k in range(1, 6):
+            spec = AffineMapSpec(k, (-fld.one(),) * k, random_element(rng, fld), fld)
+            it = build_first_iterate(spec)
+            state = tuple(random_element(rng, fld) for _ in range(k))
+            got = affine_iterate(it, state, 1000)
+            assert got == homogeneous_iterate(it, state, 1000)
+            assert got == iterate(spec.as_kary_map(), state, 1000 % (k + 1))
 
 class TestFibonacciClosedForm:
     def test_first_step(self):

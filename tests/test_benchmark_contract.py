@@ -4,8 +4,10 @@
 (``affine_iterate``'s ``it`` and its ``.field``) and passes some arguments
 by position, so a change to a public signature turns its ops into failures
 that only a benchmark run would count.  This runs the layer canary and every
-exact-algebra, period-sweep and finite-tables op once, traced, at one seed;
-the CLI requests and all timing are left to the benchmark itself.
+exact-algebra, period-sweep and finite-tables op once, traced, at one seed,
+and every cli-cold request once as its own ``python -m iterk`` process, so a
+command that lost one of its imports fails here too.  All timing is left to
+the benchmark itself.
 """
 
 import sys
@@ -17,7 +19,9 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
 
 import canary  # noqa: E402
+import harness  # noqa: E402
 import spans  # noqa: E402
+import wl_cli  # noqa: E402
 import wl_exact  # noqa: E402
 import wl_finite  # noqa: E402
 import wl_sweep  # noqa: E402
@@ -59,3 +63,11 @@ def test_finite_tables_ops_pass_their_checks(tracer, tmp_path):
     assert failed == []
     names = {s.name for s in tracer.spans}
     assert {"tables.loads_table", "tables.cycle_report", "_kernels.table_perm"} <= names
+
+
+def test_cli_cold_requests_pass_their_checks(tmp_path):
+    # an inactive tracer: each request runs as plain `python -m iterk`
+    workload = wl_cli.build(wl_cli.make_inputs(1), spans.Tracer(), tmp_path)
+    assert (len(workload.ops), len(workload.light)) == (15, 10)
+    results = [op.call() for op in workload.ops]
+    assert harness.failed_ops(workload.ops, results) == []
