@@ -51,13 +51,20 @@ def _is_bijective(perms):
 
 def induced_power(tables, m, k, axis, n):
     """n-th power of the self-maps that ``tables`` induce in argument ``axis``
-    (0-based), as ``[N, m**(k-1), m]`` with one row per frozen context."""
+    (0-based), as ``[N, m**(k-1), m]`` with one row per frozen context.
+
+    Binary powering from the top bit: each further bit squares the power,
+    and a set bit composes one more map, so n = 2 takes one gather and
+    n = 10**9 takes 41.
+    """
     # contexts are the arguments before and after ``axis``, in row-major order
     grid = tables.reshape(tables.shape[0], m**axis, m, m ** (k - 1 - axis))
     maps = grid.swapaxes(2, 3).reshape(tables.shape[0], m ** (k - 1), m)
     power = maps
-    for _ in range(n - 1):
-        power = np.take_along_axis(maps, power, axis=2)
+    for bit in bin(n)[3:]:
+        power = np.take_along_axis(power, power, axis=2)
+        if bit == "1":
+            power = np.take_along_axis(maps, power, axis=2)
     return power
 
 

@@ -14,8 +14,11 @@ import argparse
 import json
 import sys
 
-# each command imports the iterk modules it uses, so that `iterate --def`
-# never loads numpy and a table command reads the parser only for a seed
+# every iterk module is reached as an attribute of the package, which imports
+# it on first use, so `iterate --def` never loads numpy and a table command
+# reads the parser only for a seed
+import iterk
+
 from .errors import ArityError, BudgetError, NonAffineError, ParseError
 
 EXIT_OK = 0
@@ -44,104 +47,76 @@ def _emit(args, text_lines, payload) -> None:
 # ---------------------------------------------------------------------------
 # input plumbing
 
-def _seed_field(args, d):
-    # smallest field holding the definition plus every seed scalar
-    from . import parser
-
-    seed = getattr(args, "seed", None)
-    return parser.field_of(d.expr, *(parser.parse_seed(seed) if seed else ()))
-
-
-def _def_seed(args, d, field) -> tuple:
-    from . import parser
-
-    if not getattr(args, "seed", None):
-        raise ParseError("--seed is required for this command")
-    values = tuple(parser.eval_scalar(e, field) for e in parser.parse_seed(args.seed))
-    if len(values) != d.arity:
-        raise ArityError(
-            f"seed has {len(values)} components but the map has arity {d.arity}"
-        )
-    return values
+def _load(args):
+    """The FiniteTable that --table names, or the MapDef that --def gives."""
+    if args.table is not None:
+        return iterk.tables.load_table(args.table)
+    return iterk.parser.parse_map_def(args.map_def)
 
 
-def _table_seed(args, t) -> tuple:
-    from . import exactnum, parser
+def _seed(args, src, lift=None):
+    """The engine map of ``src``, from :func:`_load`, and --seed as its state.
 
-    if not getattr(args, "seed", None):
-        raise ParseError("--seed is required for this command")
-    rational = exactnum.RationalField()
-    values = []
-    for expr in parser.parse_seed(args.seed):
-        v = parser.eval_scalar(expr, rational)
-        if v.denominator != 1:
-            raise ParseError(f"table seeds must be integers, got {v}")
-        values.append(int(v))
-    if len(values) != t.k:
-        raise ArityError(
-            f"seed has {len(values)} components but the table has arity {t.k}"
-        )
-    for v in values:
-        if not 0 <= v < t.m:
-            raise ParseError(f"seed component {v} out of range 0..{t.m - 1}")
-    return tuple(values)
-
-
-def _input_map(args) -> tuple[str, object]:
-    if args.map_def is not None:
-        from . import parser
-
-        return "def", parser.parse_map_def(args.map_def)
-    from . import tables
-
-    return "table", tables.load_table(args.table)
+    A definition's map runs over its field joined with the seed's, lifted to
+    arity ``lift`` when given; a table's seed names symbols 0..m-1.
+    """
+    if not args.seed:
+        need = "when augmenting a definition" if lift else "for this command"
+        raise ValueError(f"--seed is required {need}")
+    exprs = iterk.parser.parse_seed(args.seed)
+    if args.table is None:
+        field = iterk.parser.field_of(src.expr, *exprs)
+        fmap = iterk.parser.to_kary_map(src, field)
+        if lift:
+            fmap = iterk.recurrence.augment(fmap, lift)
+        state = tuple(iterk.parser.eval_scalar(e, field) for e in exprs)
+        what, outside = "the lifted arity is" if lift else "the map has arity", []
+    else:
+        rational = iterk.exactnum.RationalField()
+        state = ()
+        for expr in exprs:
+            v = iterk.parser.eval_scalar(expr, rational)
+            if v.denominator != 1:
+                raise ValueError(f"table seeds must be integers, got {v}")
+            state += (int(v),)
+        fmap, what = src.as_map(), "the table has arity"
+        outside = [v for v in state if not 0 <= v < src.m]
+    if len(state) != fmap.arity:
+        raise ArityError(f"seed has {len(state)} components but {what} {fmap.arity}")
+    if outside:
+        raise ValueError(f"seed component {outside[0]} out of range 0..{src.m - 1}")
+    return fmap, state
 
 
 def _perm_arg(text: str, m: int) -> list[int]:
     try:
         values = [int(x) for x in text.split(",")]
     except ValueError:
-        raise ParseError(f"--perm must be comma-separated integers, got {text!r}")
+        raise ValueError(f"--perm must be comma-separated integers, got {text!r}")
     if len(values) != m:
-        raise ParseError(f"--perm must list all {m} images")
+        raise ValueError(f"--perm must list all {m} images")
     return values
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _map_and_seed(args) -> tuple:
-    kind, obj = _input_map(args)
-    if kind == "table":
-        return obj.as_map(), _table_seed(args, obj)
-    from . import parser
-
-    field = _seed_field(args, obj)
-    return parser.to_kary_map(obj, field), _def_seed(args, obj, field)
-
-
 def _cmd_iterate(args) -> int:
     if args.n < 0:
         raise ValueError(f"iterate count must be >= 0, got {args.n}")
-    if args.map_def is None:
-        from . import tables
-
+    src = _load(args)
+    fmap, seed = _seed(args, src)
+    if args.table is not None:
         # a table's orbit closes within m**k steps, so any n costs at most that
-        t = tables.load_table(args.table)
-        result = tables.table_iterate(t, _table_seed(args, t), args.n)
+        result = iterk.tables.table_iterate(src, seed, args.n)
     else:
-        from . import engine
-
-        result = engine.iterate(*_map_and_seed(args), args.n)
+        result = iterk.engine.iterate(fmap, seed, args.n)
     _emit(args, [_render_state(result)], {"state": [str(v) for v in result]})
     return EXIT_OK
 
 
 def _cmd_orbit(args) -> int:
-    from . import engine
-
-    fmap, seed = _map_and_seed(args)
-    orb = engine.orbit(fmap, seed, args.max_steps)
+    orb = iterk.engine.orbit(*_seed(args, _load(args)), args.max_steps)
     lines = [_render_state(s) for s in orb.states]
     lines.append(f"recurred: {'true' if orb.recurred else 'false'}")
     _emit(
@@ -156,61 +131,42 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    kind, obj = _input_map(args)
-    if kind == "table":
-        from . import tables
-
-        report = tables.cycle_report(obj)
-        order = report.minimal_order
+    src = _load(args)
+    if args.table is not None:
+        order = iterk.tables.cycle_report(src).minimal_order
     else:
-        from . import affine, parser
-
-        spec = parser.to_affine(obj)
-        order = affine.affine_involutory_order(
-            affine.build_first_iterate(spec), args.bound
-        )
+        it = iterk.affine.build_first_iterate(iterk.parser.to_affine(src))
+        order = iterk.affine.affine_involutory_order(it, args.bound)
     _emit(args, [str(order) if order else "none"], {"minimal_order": order})
     return EXIT_OK
 
 
 def _cmd_point_order(args) -> int:
-    if args.map_def is None:
-        from . import tables
-
+    src = _load(args)
+    fmap, seed = _seed(args, src)
+    if args.table is not None:
         # exact: the seed's trajectory closes within m**k steps
-        t = tables.load_table(args.table)
-        order = tables.table_point_order(t, _table_seed(args, t))
+        order = iterk.tables.table_point_order(src, seed)
     else:
-        from . import engine
-
-        order = engine.point_involutory_order(*_map_and_seed(args), args.bound)
+        order = iterk.engine.point_involutory_order(fmap, seed, args.bound)
     _emit(args, [str(order) if order else "none"], {"point_order": order})
     return EXIT_OK
 
 
 def _cmd_check_ii(args) -> int:
-    from . import tables
-
-    t = tables.load_table(args.table)
-    flag = tables.is_induced_involutory(t, args.n, args.arg)
+    flag = iterk.tables.is_induced_involutory(_load(args), args.n, args.arg)
     _emit(args, ["true" if flag else "false"], {"induced_involutory": flag})
     return EXIT_OK if flag else EXIT_VERIFY
 
 
 def _cmd_symmetric(args) -> int:
-    from . import tables
-
-    t = tables.load_table(args.table)
-    flag = tables.is_symmetric(t)
+    flag = iterk.tables.is_symmetric(_load(args))
     _emit(args, ["true" if flag else "false"], {"symmetric": flag})
     return EXIT_OK if flag else EXIT_VERIFY
 
 
 def _cmd_cycles(args) -> int:
-    from . import tables
-
-    t = tables.load_table(args.table)
-    rep = tables.cycle_report(t)
+    rep = iterk.tables.cycle_report(_load(args))
     lines = [
         f"bijective: {'true' if rep.bijective else 'false'}",
         f"minimal_order: {rep.minimal_order if rep.minimal_order else 'none'}",
@@ -232,9 +188,7 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_enumerate_ii(args) -> int:
-    from . import tables
-
-    found = list(tables.enumerate_ii_tables(args.m, args.k))
+    found = list(iterk.tables.enumerate_ii_tables(args.m, args.k))
     lines = [f"count: {len(found)}"]
     lines += [" ".join(str(v) for v in t.values()) for t in found]
     _emit(
@@ -246,11 +200,9 @@ def _cmd_enumerate_ii(args) -> int:
 
 
 def _cmd_count_involutions(args) -> int:
-    from . import tables
-
-    count = tables.count_involutions(args.m)
+    count = iterk.tables.count_involutions(args.m)
     if args.brute:
-        brute = tables.count_involutions_brute(args.m)
+        brute = iterk.tables.count_involutions_brute(args.m)
         if brute != count:
             print(f"recursion {count} != brute force {brute}", file=sys.stderr)
             return EXIT_VERIFY
@@ -259,11 +211,11 @@ def _cmd_count_involutions(args) -> int:
 
 
 def _cmd_claim1(args) -> int:
-    from . import recurrence, tables
-
+    # one input: --table alone, or --m with --k
+    if (args.table is None) == (args.m is None) or (args.m is None) != (args.k is None):
+        raise ValueError("claim1 needs either --table or both --m and --k")
     if args.table is not None:
-        t = tables.load_table(args.table)
-        rep = recurrence.cycle_correspondence_report(t)
+        rep = iterk.recurrence.cycle_correspondence_report(_load(args))
         lines = [f"bijective: {'true' if rep.bijective else 'false'}"]
         for row in rep.rows:
             lines.append(
@@ -298,9 +250,7 @@ def _cmd_claim1(args) -> int:
         }
         _emit(args, lines, payload)
         return EXIT_OK
-    if args.m is None or args.k is None:
-        raise ParseError("claim1 needs either --table or both --m and --k")
-    sweep = recurrence.cycle_correspondence_sweep(args.m, args.k)
+    sweep = iterk.recurrence.cycle_correspondence_sweep(args.m, args.k)
     lines = [
         f"tables: {sweep.tables}",
         f"bijective_tables: {sweep.bijective_tables}",
@@ -320,48 +270,25 @@ def _cmd_claim1(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    from . import recurrence
-
+    src = _load(args)
     if args.table is not None:
-        from . import tables
-
-        t = tables.load_table(args.table)
-        tables.check_state_budget(t.m, args.to)
-        lifted = recurrence.augment(t.as_map(), args.to)
-        lifted_table = tables.FiniteTable.from_function(
-            t.m, args.to, lambda *xs: lifted.apply(xs)
-        )
-        text = tables.dumps_table(lifted_table)
+        lifted = iterk.recurrence.augment_table(src, args.to)
         _emit(
             args,
-            [text.rstrip("\n")],
-            {"m": t.m, "k": args.to, "entries": list(lifted_table.values())},
+            [iterk.tables.dumps_table(lifted).rstrip("\n")],
+            {"m": src.m, "k": args.to, "entries": list(lifted.values())},
         )
         return EXIT_OK
-    from . import parser
-
-    d = parser.parse_map_def(args.map_def)
-    if not args.seed:
-        raise ParseError("--seed is required when augmenting a definition")
-    field = _seed_field(args, d)
-    lifted = recurrence.augment(parser.to_kary_map(d, field), args.to)
-    values = tuple(parser.eval_scalar(e, field) for e in parser.parse_seed(args.seed))
-    if len(values) != args.to:
-        raise ArityError(
-            f"seed has {len(values)} components but the lifted arity is {args.to}"
-        )
-    result = lifted.apply(values)
+    fmap, seed = _seed(args, src, args.to)
+    result = fmap.apply(seed)
     _emit(args, [str(result)], {"value": str(result)})
     return EXIT_OK
 
 
 def _cmd_conjugate(args) -> int:
-    from . import tables
-
-    t = tables.load_table(args.table)
-    g = _perm_arg(args.perm, t.m)
-    conj = tables.conjugate(t, g)
-    text = tables.dumps_table(conj)
+    t = _load(args)
+    conj = iterk.tables.conjugate(t, _perm_arg(args.perm, t.m))
+    text = iterk.tables.dumps_table(conj)
     _emit(
         args,
         [text.rstrip("\n")],
@@ -376,10 +303,8 @@ def _cmd_conjugate(args) -> int:
 def _data_table(name: str):
     from importlib import resources
 
-    from . import tables
-
     text = resources.files("iterk").joinpath(f"data/{name}").read_text()
-    return tables.loads_table(text)
+    return iterk.tables.loads_table(text)
 
 
 def _rand_fraction(rng):
@@ -389,16 +314,14 @@ def _rand_fraction(rng):
 
 
 def _golden_table_checks(name: str, lengths, order):
-    from . import tables
-
     t = _data_table(name)
-    rep = tables.cycle_report(t)
+    rep = iterk.tables.cycle_report(t)
     label = name.removesuffix(".tbl")
     yield f"{label}-cycles", rep.cycle_lengths == lengths and rep.minimal_order == order, (
         f"lengths {rep.cycle_lengths}, minimal order {rep.minimal_order}"
     )
-    yield f"{label}-symmetric", tables.is_symmetric(t), "invariant under argument swaps"
-    yield f"{label}-ii3", tables.is_induced_involutory(t, 3), "induced 3-involutory"
+    yield f"{label}-symmetric", iterk.tables.is_symmetric(t), "invariant under argument swaps"
+    yield f"{label}-ii3", iterk.tables.is_induced_involutory(t, 3), "induced 3-involutory"
     if t.k == 2:
         grid = t.entries.reshape(t.m, t.m)
         persym = bool((grid == grid[::-1, ::-1].T).all())
@@ -407,53 +330,47 @@ def _golden_table_checks(name: str, lengths, order):
 
 
 def _pair_sum_check(rng):
-    from . import affine, engine, parser
-
-    d = parser.parse_map_def("f(x1,x2) = x1 + x2")
-    fmap = parser.to_kary_map(d)
-    it = affine.build_first_iterate(parser.to_affine(d))
+    d = iterk.parser.parse_map_def("f(x1,x2) = x1 + x2")
+    fmap = iterk.parser.to_kary_map(d)
+    it = iterk.affine.build_first_iterate(iterk.parser.to_affine(d))
     for _ in range(100):
         seed = (_rand_fraction(rng), _rand_fraction(rng))
         current = seed
         for n in range(31):
-            closed = affine.fibonacci_closed_form(n, seed)
-            fast = affine.affine_iterate(it, seed, n)
+            closed = iterk.affine.fibonacci_closed_form(n, seed)
+            fast = iterk.affine.affine_iterate(it, seed, n)
             if not (closed == fast == current):
                 return False, f"mismatch at n={n}, seed={seed}"
-            current = engine.first_iterate(fmap, current)
+            current = iterk.engine.first_iterate(fmap, current)
     return True, "closed form == engine == matrix power, n <= 30, 100 seeds"
 
 
 def _sum_map_check(rng):
-    from . import affine, engine, parser
-
     for k in range(1, 6):
         a = _rand_fraction(rng)
         vars_ = ",".join(f"x{i}" for i in range(1, k + 1))
         body = " - ".join([f"{a.numerator}/{a.denominator}"] + [f"x{i}" for i in range(1, k + 1)])
-        d = parser.parse_map_def(f"f({vars_}) = {body}")
-        spec = parser.to_affine(d)
-        it = affine.build_first_iterate(spec)
-        fmap = parser.to_kary_map(d)
-        order = affine.affine_involutory_order(it, 50)
+        d = iterk.parser.parse_map_def(f"f({vars_}) = {body}")
+        spec = iterk.parser.to_affine(d)
+        it = iterk.affine.build_first_iterate(spec)
+        fmap = iterk.parser.to_kary_map(d)
+        order = iterk.affine.affine_involutory_order(it, 50)
         if order != k + 1:
             return False, f"k={k}: minimal order {order} != {k + 1}"
         seed = tuple(_rand_fraction(rng) for _ in range(k))
         current = seed
         for idx in range(2 * (k + 1)):
-            if affine.sum_map_closed_form(k, a, idx, seed) != current:
+            if iterk.affine.sum_map_closed_form(k, a, idx, seed) != current:
                 return False, f"k={k}: closed form mismatch at index {idx}"
-            current = engine.first_iterate(fmap, current)
+            current = iterk.engine.first_iterate(fmap, current)
     return True, "all residues mod k+1 for k <= 5; minimal order k+1"
 
 
 def _roots_check():
-    from . import affine, engine, parser
-
-    d = parser.parse_map_def("f(x1,x2) = zeta(3)*x1 + zeta(3)^2*x2")
+    d = iterk.parser.parse_map_def("f(x1,x2) = zeta(3)*x1 + zeta(3)^2*x2")
     fld = d.field()
-    fmap = parser.to_kary_map(d)
-    it = affine.build_first_iterate(parser.to_affine(d))
+    fmap = iterk.parser.to_kary_map(d)
+    it = iterk.affine.build_first_iterate(iterk.parser.to_affine(d))
     pts = [
         fld.coerce(0),
         fld.coerce(1),
@@ -464,15 +381,15 @@ def _roots_check():
     for x1 in pts:
         for x2 in pts:
             s = (x1, x2)
-            if affine.linear_roots_checks(3, "induced-1", 3, s)[0] != x1:
+            if iterk.affine.linear_roots_checks(3, "induced-1", 3, s)[0] != x1:
                 return False, "first-argument cycle broke"
-            if affine.linear_roots_checks(3, "induced-2", 3, s)[1] != x2:
+            if iterk.affine.linear_roots_checks(3, "induced-2", 3, s)[1] != x2:
                 return False, "second-argument cycle broke"
     s = (fld.one(), fld.zeta())
     for n in range(13):
-        if affine.linear_roots_checks(3, "full", n, s) != engine.iterate(fmap, s, n):
+        if iterk.affine.linear_roots_checks(3, "full", n, s) != iterk.engine.iterate(fmap, s, n):
             return False, f"product form mismatch at n={n}"
-    if affine.affine_involutory_order(it, 50) is not None:
+    if iterk.affine.affine_involutory_order(it, 50) is not None:
         return False, "unexpectedly involutory"
     one, zero = fld.one(), fld.zero()
     if fmap.apply((one, zero)) == fmap.apply((zero, one)):
@@ -481,10 +398,8 @@ def _roots_check():
 
 
 def _augment_check(rng):
-    from . import parser, recurrence
-
-    d = parser.parse_map_def("f(x1,x2) = 3/2 - x1 - x2")
-    lifted = recurrence.augment(parser.to_kary_map(d), 3)
+    d = iterk.parser.parse_map_def("f(x1,x2) = 3/2 - x1 - x2")
+    lifted = iterk.recurrence.augment(iterk.parser.to_kary_map(d), 3)
     for _ in range(1000):
         s = tuple(_rand_fraction(rng) for _ in range(3))
         if lifted.apply(s) != s[0]:

@@ -26,6 +26,8 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Union
 
+import iterk
+
 from .engine import KaryMap
 from .errors import NonAffineError, ParseError
 from .exactnum import (
@@ -417,8 +419,6 @@ def to_kary_map(d: MapDef, field: Field | None = None) -> KaryMap:
 
 def to_affine(d: MapDef, field: Field | None = None) -> AffineMapSpec:
     """Extract exact affine form; reject anything of higher degree."""
-    from .affine import AffineMapSpec
-
     fld = d.field() if field is None else field
     zero = fld.zero()
 
@@ -454,4 +454,4 @@ def to_affine(d: MapDef, field: Field | None = None) -> AffineMapSpec:
         return [zero] * d.arity, eval_scalar(expr, fld)
 
     coeffs, const = walk(d.expr)
-    return AffineMapSpec(d.arity, tuple(coeffs), const, fld)
+    return iterk.affine.AffineMapSpec(d.arity, tuple(coeffs), const, fld)

@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .engine import Element, KaryMap, iterate as engine_iterate
 from .errors import ArityError, BudgetError
-from .tables import FiniteTable, cycle_report, state_from_index, tables_exceed
+from .tables import FiniteTable, check_state_budget, cycle_report, state_from_index, tables_exceed
 
 #: Largest number of tables a full sweep will visit.
 SWEEP_BUDGET = 10**7
@@ -249,10 +249,7 @@ def augment(f: KaryMap, target_arity: int) -> KaryMap:
     the values the recurrence forces for them.
     """
     k = f.arity
-    if target_arity <= k:
-        raise ArityError(
-            f"target arity must exceed the original arity {k}, got {target_arity}"
-        )
+    _check_lift(k, target_arity)
 
     def fn(state):
         tilde = list(state[:k])
@@ -261,3 +258,25 @@ def augment(f: KaryMap, target_arity: int) -> KaryMap:
         return f.apply(tuple(tilde[-k:]))
 
     return KaryMap(target_arity, fn, name=f"{f.name or 'map'}~{target_arity}")
+
+
+def augment_table(t: FiniteTable, target_arity: int) -> FiniteTable:
+    """The table of :func:`augment` of ``t``, for every state at once.
+
+    A lifted value depends on x1..xk alone: it is the term target_arity - k + 1
+    recurrence steps past that window, the same for each of the
+    m**(target_arity - k) values of the other arguments.
+    """
+    check_state_budget(t.m, target_arity)
+    _check_lift(t.k, target_arity)
+    w = np.arange(t.n_states)[None]
+    for _ in range(target_arity - t.k + 1):
+        w, term = _kernels._step(t.entries[None], w, t.m, t.k)
+    return FiniteTable(t.m, target_arity, np.repeat(term[0], t.m ** (target_arity - t.k)))
+
+
+def _check_lift(k: int, target_arity: int) -> None:
+    if target_arity <= k:
+        raise ArityError(
+            f"target arity must exceed the original arity {k}, got {target_arity}"
+        )

@@ -154,6 +154,13 @@ class TestPredicates:
         code, out, _ = run_cli(capsys, "check-ii", "--table", table4_path, "--n", "2")
         assert code == 1 and out.strip() == "false"
 
+    def test_check_ii_large_order_answers_at_once(self, capsys, table_path):
+        start = time.perf_counter()
+        argv = ("check-ii", "--table", table_path, "--n")
+        assert run_cli(capsys, *argv, "1000000000") == (1, "false\n", "")
+        assert run_cli(capsys, *argv, "300000000") == (0, "true\n", "")
+        assert time.perf_counter() - start < 1.0
+
     def test_check_ii_single_argument(self, capsys, table_path):
         code, out, _ = run_cli(
             capsys, "check-ii", "--table", table_path, "--n", "3", "--arg", "2"
@@ -299,7 +306,34 @@ class TestVerifyExamples:
         assert payload["failures"] == []
 
 
+CLAIM1_USAGE = "claim1 needs either --table or both --m and --k"
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("iterate", "--table", "{t}", "--seed", "0,7", "--n", "1"),
+             "seed component 7 out of range 0..2"),
+            (("iterate", "--def", "f(x1)=x1", "--n", "1"), "--seed is required for this command"),
+            (("orbit", "--table", "{t}"), "--seed is required for this command"),
+            (("augment", "--def", "f(x1)=x1", "--to", "2"),
+             "--seed is required when augmenting a definition"),
+            (("point-order", "--table", "{t}", "--seed", "1/2,0"),
+             "table seeds must be integers, got 1/2"),
+            (("conjugate", "--table", "{t}", "--perm", "0,1"), "--perm must list all 3 images"),
+            (("conjugate", "--table", "{t}", "--perm", "a,b,c"),
+             "--perm must be comma-separated integers, got 'a,b,c'"),
+            (("claim1",), CLAIM1_USAGE),
+            (("claim1", "--m", "2"), CLAIM1_USAGE),
+            (("claim1", "--table", "{t}", "--m", "2", "--k", "2"), CLAIM1_USAGE),
+            (("claim1", "--table", "{t}", "--k", "2"), CLAIM1_USAGE),
+        ],
+    )
+    def test_usage_errors_name_no_source_position(self, capsys, table_path, argv, message):
+        argv = [a.format(t=table_path) for a in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_parse_error_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "iterate", "--def", "f(x1)=x7", "--seed", "1", "--n", "1"

@@ -1,4 +1,5 @@
-"""Library source checks: results must not change under ``python -O``."""
+"""Library source checks: results must not change under ``python -O``, and
+only the package's lazy attributes decide which iterk modules load."""
 
 import ast
 from pathlib import Path
@@ -27,5 +28,25 @@ def test_library_raises_no_assertion_error():
         if isinstance(node, ast.Raise)
         and node.exc is not None
         and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    ]
+    assert found == []
+
+
+def test_only_the_package_imports_iterk_modules_inside_functions():
+    # a module reaches an optional iterk module as an attribute of the
+    # package (``iterk.affine``), which imports it on first use
+    def imports_iterk(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or (node.module or "").split(".")[0] == "iterk"
+        return isinstance(node, ast.Import) and any(
+            a.name.split(".")[0] == "iterk" for a in node.names
+        )
+
+    found = [
+        f"{name}:{inner.lineno}"
+        for name, node in _nodes()
+        if name != "__init__.py" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if imports_iterk(inner)
     ]
     assert found == []

@@ -13,6 +13,7 @@ from iterk.recurrence import (
     SweepTallies,
     _minimal_sequence_period,
     augment,
+    augment_table,
     consistency_check,
     cycle_correspondence_report,
     cycle_correspondence_sweep,
@@ -331,6 +332,18 @@ class TestAugment:
     def test_target_arity_must_grow(self):
         with pytest.raises(ArityError):
             augment(KaryMap(2, sum), 2)
+        with pytest.raises(ArityError, match="original arity 2, got 2"):
+            augment_table(ADD_MOD3, 2)
+
+    def test_table_lift_matches_the_engine_lift(self):
+        rng = random.Random(43)
+        for m in range(1, 5):
+            for k in range(1, 4):
+                t = FiniteTable.from_values(m, k, [rng.randrange(m) for _ in range(m**k)])
+                for to in range(k + 1, k + 4):
+                    lifted = augment(t.as_map(), to)
+                    want = FiniteTable.from_function(m, to, lambda *xs: lifted.apply(xs))
+                    assert augment_table(t, to) == want, (m, k, to)
 
     def test_iterates_of_the_lift_track_the_same_sequence(self):
         f = ADD_MOD3.as_map()

@@ -252,6 +252,22 @@ class TestInvolutoryPredicates:
                 assert t == hat_id(2, 2)
 
 
+def _ii_cases(rng):
+    # random tables, and (c - sum(x)) mod m, an involution in every argument,
+    # conjugated so that the entries are scrambled and that property is kept
+    cases = []
+    for _ in range(30):
+        m, k = rng.randint(1, 4), rng.randint(1, 3)
+        cases.append(FiniteTable.from_values(m, k, [rng.randrange(m) for _ in range(m**k)]))
+    for m, k in [(2, 2), (3, 2), (3, 3), (4, 2), (5, 1)]:
+        for c in range(m):
+            g = list(range(m))
+            rng.shuffle(g)
+            t = FiniteTable.from_function(m, k, lambda *x, c=c: (c - sum(x)) % m)
+            cases.append(conjugate(t, g))
+    return cases
+
+
 class TestInducedInvolutory:
     def test_mod3(self):
         assert is_induced_involutory(ADD_MOD3, 3)
@@ -284,25 +300,38 @@ class TestInducedInvolutory:
                             return False
             return True
 
-        rng = random.Random(11)
-        cases = []
-        for _ in range(30):
-            m, k = rng.randint(1, 4), rng.randint(1, 3)
-            cases.append(
-                FiniteTable.from_values(m, k, [rng.randrange(m) for _ in range(m**k)])
-            )
-        # (c - sum(x)) mod m is an involution in every argument; conjugating
-        # keeps that while scrambling the entries
-        for m, k in [(2, 2), (3, 2), (3, 3), (4, 2), (5, 1)]:
-            for c in range(m):
-                g = list(range(m))
-                rng.shuffle(g)
-                t = FiniteTable.from_function(m, k, lambda *x, c=c: (c - sum(x)) % m)
-                cases.append(conjugate(t, g))
-        for t in cases:
+        for t in _ii_cases(random.Random(11)):
             for n in range(1, 5):
                 for j in [None, *range(1, t.k + 1)]:
                     assert is_induced_involutory(t, n, j) == reference(t, n, j)
+
+    def test_large_orders_match_cycle_lengths(self):
+        def reference(t, n):
+            # every induced map is a permutation whose cycle lengths divide n
+            for pos in range(t.k):
+                for fixed in itertools.product(range(t.m), repeat=t.k - 1):
+                    g = [t.apply(fixed[:pos] + (x,) + fixed[pos:]) for x in range(t.m)]
+                    if sorted(g) != list(range(t.m)):
+                        return False
+                    for x in range(t.m):
+                        length, y = 1, g[x]
+                        while y != x:
+                            length, y = length + 1, g[y]
+                        if n % length:
+                            return False
+            return True
+
+        rng = random.Random(12)
+        orders = [1, 2, 3, 4, 6, 12, 60, 2**29, 3 * 10**8, 10**9 - 1, 10**9]
+        orders += [rng.randrange(1, 10**9) for _ in range(4)]
+        # induced maps x -> 2x + b and x -> 3x + b give cycles up to length 10
+        cases = _ii_cases(rng) + [
+            FiniteTable.from_function(m, 2, lambda a, b, m=m: (2 * a + 3 * b + 1) % m)
+            for m in (5, 7, 11)
+        ]
+        for t in cases:
+            for n in orders:
+                assert is_induced_involutory(t, n) == reference(t, n), (t, n)
 
     def test_profile_ii_flag_matches_per_argument_flags(self):
         for t in (ADD_MOD3, II3_M4, hat_id(2, 2)):
