@@ -270,6 +270,8 @@ def _cmd_claim1(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    if args.table is not None and args.seed is not None:
+        raise ValueError("augment --table takes no --seed")
     src = _load(args)
     if args.table is not None:
         lifted = iterk.recurrence.augment_table(src, args.to)

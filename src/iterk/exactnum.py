@@ -7,6 +7,12 @@ as polynomial residues in ``z`` modulo the n-th cyclotomic polynomial, so
 equality is exact and order checks are honest equality tests rather than
 floating-point tolerances.
 
+Arithmetic on residues runs in integers: a product puts each operand over
+the lcm of its denominators, multiplies the two integer polynomials, and
+folds the high powers back with cached integer rows ``z^i mod Phi_n`` (the
+modulus is monic and integral).  The result becomes lowest-terms
+``Fraction`` coefficients once, at the end.
+
 All values in one computation must share a single root order n; callers mix
 orders by embedding into a common multiple first (``z_a -> z_lcm^(lcm/a)``).
 """
@@ -117,10 +123,52 @@ def cyclotomic_polynomial(n: int) -> CycloPolynomial:
     return CycloPolynomial(n, tuple(_poly_div_int(num, den)))
 
 
-def _reduce(order: int, coeffs) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _reduction_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """z^i mod the order-th cyclotomic polynomial for d <= i < max(2d-1, order).
+
+    d is the polynomial's degree.  Row i - d lists the nonzero (power,
+    coefficient) pairs of the residue; the polynomial is monic and integral,
+    so every coefficient is an integer.  The range covers a product of two
+    residues (degree <= 2d-2) and any power of the root below ``order``.
+    """
     phi = cyclotomic_polynomial(order).coefficients
-    r = _poly_divmod(coeffs, phi)[1]
-    return tuple(r) + (Fraction(0),) * (len(phi) - 1 - len(r))
+    d = len(phi) - 1
+    row = [-c for c in phi[:d]]  # z^d
+    rows = []
+    for _ in range(d, max(2 * d - 1, order)):
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
+        top = row[-1]  # times z: shift up, fold the z^d term back
+        row = [0] + row[:-1]
+        if top:
+            row = [c - top * p for c, p in zip(row, phi)]
+    return tuple(rows)
+
+
+def _reduce(order: int, coeffs: list[int]) -> list[int]:
+    """The residue of an integer polynomial, as d integers."""
+    d = cyclotomic_polynomial(order).degree
+    out = list(coeffs[:d]) + [0] * (d - len(coeffs))
+    rows = _reduction_rows(order)
+    for i in range(d, len(coeffs)):
+        c = coeffs[i]
+        if c:
+            for j, r in rows[i - d]:
+                out[j] += c * r
+    return out
+
+
+def _over_common_denominator(coeffs) -> tuple[list[int], int]:
+    """(nums, den) with coeffs[i] == nums[i] / den and den the lcm of the
+    denominators."""
+    dens = [c.denominator for c in coeffs]
+    den = lcm(*dens)
+    return [c.numerator * (den // q) for c, q in zip(coeffs, dens)], den
+
+
+def _residue(order: int, nums: list[int], den: int = 1) -> tuple[Fraction, ...]:
+    """The canonical coefficients of ``nums / den``: reduced, in lowest terms."""
+    return tuple(Fraction(c, den) for c in _reduce(order, nums))
 
 
 def _poly_xgcd(
@@ -144,7 +192,10 @@ class CyclotomicNumber:
     """Element of the rationals extended by a primitive ``order``-th root of unity.
 
     ``coeffs`` is the canonical residue: ascending powers of the root, length
-    equal to the degree of the reduction modulus.  Arithmetic between two
+    equal to the degree of the reduction modulus, each a lowest-terms
+    ``Fraction``.  Products, powers of the root, embeddings and inverses are
+    computed over one common integer denominator and reduced by the cached
+    integer rows of :func:`_reduction_rows`.  Arithmetic between two
     values requires equal orders; use :meth:`embed` to move into a larger
     field first.  Ints and Fractions mix freely as constants.
     """
@@ -172,9 +223,7 @@ class CyclotomicNumber:
     def zeta(cls, order: int, power: int = 1) -> "CyclotomicNumber":
         """The primitive root raised to ``power`` (any integer)."""
         power %= order
-        coeffs = [Fraction(0)] * (power + 1)
-        coeffs[power] = Fraction(1)
-        return cls(order, _reduce(order, coeffs))
+        return cls(order, _residue(order, [0] * power + [1]))
 
     # -- helpers ------------------------------------------------------------
 
@@ -207,10 +256,10 @@ class CyclotomicNumber:
         if order == self.order:
             return self
         step = order // self.order
-        out = [Fraction(0)] * (len(self.coeffs) * step)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return CyclotomicNumber(order, _reduce(order, out))
+        nums, den = _over_common_denominator(self.coeffs)
+        out = [0] * (len(nums) * step)
+        out[::step] = nums
+        return CyclotomicNumber(order, _residue(order, out, den))
 
     # -- field operations ---------------------------------------------------
 
@@ -243,8 +292,9 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prod = _poly_mul(self.coeffs, other.coeffs)
-        return CyclotomicNumber(self.order, _reduce(self.order, prod))
+        a, da = _over_common_denominator(self.coeffs)
+        b, db = _over_common_denominator(other.coeffs)
+        return CyclotomicNumber(self.order, _residue(self.order, _poly_mul(a, b), da * db))
 
     __rmul__ = __mul__
 
@@ -257,7 +307,7 @@ class CyclotomicNumber:
         if len(g) != 1:
             # cannot happen: the modulus is irreducible over the rationals
             raise ArithmeticError("residue shares a factor with the modulus")
-        return CyclotomicNumber(self.order, _reduce(self.order, s))
+        return CyclotomicNumber(self.order, _residue(self.order, *_over_common_denominator(s)))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -19,6 +19,7 @@ reported as :class:`ParseError` with a line and column.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 import re
 from dataclasses import dataclass
@@ -42,10 +43,15 @@ if TYPE_CHECKING:  # affine needs numpy, which parsing and evaluation do not
 
 # --- abstract syntax -------------------------------------------------------
 
+def _position():
+    # (line, column) in the source text; not part of the tree's value
+    return dataclasses.field(default=(1, 1), compare=False, repr=False)
+
 
 @dataclass(frozen=True)
 class Var:
     index: int  # 1-based
+    at: tuple[int, int] = _position()
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,7 @@ class RationalLit:
 class ZetaLit:
     order: int
     power: int
+    at: tuple[int, int] = _position()
 
 
 @dataclass(frozen=True)
@@ -273,7 +280,7 @@ class _Parser:
                             tok.column,
                         )
                     self._advance()
-                    return Var(index)
+                    return Var(index, (tok.line, tok.column))
                 self._fail(f"unknown name {tok.text!r}")
             self._fail(
                 f"expected a value, found {tok.text!r}" if tok.text else "unexpected end of input"
@@ -291,7 +298,7 @@ class _Parser:
         return RationalLit(Fraction(int(num.text)))
 
     def zeta(self) -> ZetaLit:
-        self._expect("name", "'zeta'")
+        name = self._expect("name", "'zeta'")
         self._expect("(", "'('")
         order_tok = self._expect("int", "a root order")
         order = int(order_tok.text)
@@ -305,7 +312,7 @@ class _Parser:
         power = 1
         if self._accept("^"):
             power = int(self._expect("int", "an exponent").text)
-        return ZetaLit(order, power)
+        return ZetaLit(order, power, (name.line, name.column))
 
 
 def parse_map_def(text: str) -> MapDef:
@@ -382,7 +389,7 @@ def _compile(expr: MapExpr, field: Field, arity: int) -> Callable[[tuple], objec
     if isinstance(expr, Var):
         if not 1 <= expr.index <= arity:
             raise ParseError(
-                f"undeclared variable 'x{expr.index}' (declared arity {arity})"
+                f"undeclared variable 'x{expr.index}' (declared arity {arity})", *expr.at
             )
         i = expr.index - 1
         return lambda s: s[i]
@@ -391,7 +398,7 @@ def _compile(expr: MapExpr, field: Field, arity: int) -> Callable[[tuple], objec
         return lambda s: value
     if isinstance(expr, ZetaLit):
         if isinstance(field, RationalField):
-            raise ParseError("root-of-unity literal in a rational context")
+            raise ParseError("root-of-unity literal in a rational context", *expr.at)
         value = field.coerce(CyclotomicField(expr.order).zeta(expr.power))
         return lambda s: value
     if isinstance(expr, Group):

@@ -328,9 +328,28 @@ class TestErrorPaths:
             (("claim1", "--m", "2"), CLAIM1_USAGE),
             (("claim1", "--table", "{t}", "--m", "2", "--k", "2"), CLAIM1_USAGE),
             (("claim1", "--table", "{t}", "--k", "2"), CLAIM1_USAGE),
+            (("augment", "--table", "{t}", "--to", "3", "--seed", "9,9,9"),
+             "augment --table takes no --seed"),
+            (("augment", "--table", "{t}", "--to", "3", "--seed", "0,0,0"),
+             "augment --table takes no --seed"),
         ],
     )
     def test_usage_errors_name_no_source_position(self, capsys, table_path, argv, message):
+        argv = [a.format(t=table_path) for a in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("iterate", "--table", "{t}", "--seed", "0,zeta(3)", "--n", "1"),
+             "1:3: root-of-unity literal in a rational context"),
+            (("point-order", "--table", "{t}", "--seed", "1, 2*zeta(4)^3"),
+             "1:6: root-of-unity literal in a rational context"),
+            (("orbit", "--table", "{t}", "--seed", "0,\n zeta(5)"),
+             "2:2: root-of-unity literal in a rational context"),
+        ],
+    )
+    def test_literal_errors_name_the_literal_position(self, capsys, table_path, argv, message):
         argv = [a.format(t=table_path) for a in argv]
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 

@@ -1,6 +1,7 @@
 """Exact arithmetic: cyclotomic polynomials, field laws, Fibonacci numbers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 
 from iterk.errors import BudgetError, ParseError
 from iterk.exactnum import (
+    MAX_ROOT_ORDER,
     CyclotomicField,
     CyclotomicNumber,
     RationalField,
     _poly_div_int,
     _poly_divmod,
+    _poly_mul,
+    _poly_xgcd,
     cyclotomic_polynomial,
     fibonacci,
     join_fields,
@@ -152,6 +156,100 @@ def cyclo_triples(draw):
     order = draw(st.sampled_from([3, 4, 5, 6, 8, 12]))
     vals = cyclo_values(order)
     return draw(vals), draw(vals), draw(vals)
+
+
+def reference_residue(order, coeffs):
+    """The residue by Fraction long division by the cyclotomic polynomial."""
+    phi = [Fraction(c) for c in cyclotomic_polynomial(order).coefficients]
+    r = _poly_divmod([Fraction(c) for c in coeffs], phi)[1]
+    return tuple(r) + (Fraction(0),) * (len(phi) - 1 - len(r))
+
+
+def reference_product(a, b):
+    return CyclotomicNumber(a.order, reference_residue(a.order, _poly_mul(a.coeffs, b.coeffs)))
+
+
+def max_bits(x):
+    # the largest numerator or denominator bit length, as the benchmark counts it
+    return max(max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in x.coeffs)
+
+
+def assert_canonical(x, reference):
+    assert len(x.coeffs) == euler_phi(x.order)
+    for c in x.coeffs:
+        assert type(c) is Fraction
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+    assert x.coeffs == reference.coeffs
+    assert x == reference and hash(x) == hash(reference)
+    assert x.render() == reference.render()
+    assert max_bits(x) == max_bits(reference)
+
+
+def random_element(rng, order, bits=8, max_den=12):
+    span = 1 << bits
+    coeffs = tuple(
+        Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+        for _ in range(euler_phi(order))
+    )
+    return CyclotomicNumber(order, coeffs)
+
+
+def operand_pairs(rng, order):
+    """Random pairs plus zero, rational-only, huge and embedded operands."""
+    zero = CyclotomicNumber.zero(order)
+    rational = CyclotomicNumber.from_rational(Fraction(-7, 3), order)
+    # numerators past 200 bits over a shared 206-bit factor, as matrix powers make them
+    wide = random_element(rng, order, bits=220)
+    huge = CyclotomicNumber(order, tuple(c / 3**130 for c in wide.coeffs))
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    embedded = random_element(rng, rng.choice(divisors)).embed(order)
+    pairs = [(random_element(rng, order), random_element(rng, order)) for _ in range(2)]
+    pairs += [(zero, random_element(rng, order)), (random_element(rng, order), zero)]
+    pairs += [(rational, random_element(rng, order)), (rational, rational)]
+    pairs += [(huge, random_element(rng, order)), (huge, huge)]
+    pairs += [(embedded, random_element(rng, order)), (embedded, embedded)]
+    return pairs
+
+
+class TestIntegerArithmeticMatchesFractionReference:
+    @pytest.mark.parametrize("order", range(1, MAX_ROOT_ORDER + 1))
+    def test_products(self, order):
+        pairs = operand_pairs(random.Random(order), order)
+        assert max(max_bits(a) for a, _ in pairs) > 200
+        for a, b in pairs:
+            assert_canonical(a * b, reference_product(a, b))
+
+    @pytest.mark.parametrize("order", range(1, MAX_ROOT_ORDER + 1))
+    def test_zeta_embed_and_inverse(self, order):
+        rng = random.Random(1000 + order)
+        for p in range(-order - 1, 2 * order + 1):
+            monomial = [0] * (p % order) + [1]
+            assert_canonical(
+                CyclotomicNumber.zeta(order, p),
+                CyclotomicNumber(order, reference_residue(order, monomial)),
+            )
+        for d in range(1, order + 1):
+            if order % d:
+                continue
+            x = random_element(rng, d)
+            step = order // d
+            spread = [Fraction(0)] * (len(x.coeffs) * step)
+            spread[::step] = x.coeffs
+            assert_canonical(
+                x.embed(order), CyclotomicNumber(order, reference_residue(order, spread))
+            )
+        phi = [Fraction(c) for c in cyclotomic_polynomial(order).coefficients]
+        z = CyclotomicNumber.zeta(order)
+        units = [z, z**3 / 3 - 2 * z + 1]
+        if order <= 24:  # a dense inverse is slow in the larger fields
+            units.append(random_element(rng, order, bits=2, max_den=3) + z**3)
+        for x in units:
+            if x.is_zero():
+                continue
+            s = _poly_xgcd(list(x.coeffs), phi)[1]
+            inv = x.inverse()
+            assert_canonical(inv, CyclotomicNumber(order, reference_residue(order, s)))
+            assert reference_product(x, inv) == 1
 
 
 class TestFieldLaws:

@@ -111,6 +111,23 @@ class TestParseErrors:
         assert err.value.line == 2
         assert err.value.column == 8
 
+    def test_evaluation_errors_name_the_node_position(self):
+        # the tree parses; folding it into a field or an arity fails later,
+        # at the literal or variable that does not fit
+        with pytest.raises(ParseError) as err:
+            eval_scalar(parse_seed("0,\n  2*zeta(3)")[1], RationalField())
+        assert (err.value.line, err.value.column) == (2, 5)
+        body = parse_map_def("f(x1,x2) = x1 + x2").expr
+        with pytest.raises(ParseError) as err:
+            to_kary_map(MapDef(1, body))
+        assert (err.value.line, err.value.column) == (1, 17)
+
+    def test_positions_do_not_change_tree_equality(self):
+        a = parse_map_def("f(x1) = zeta(3)*x1").expr
+        b = parse_map_def("f(x1) =   zeta(3) * x1").expr
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.left.at != b.left.at
+
     def test_deep_nesting_is_an_error_not_a_crash(self):
         text = "f(x1) = " + "(" * 400 + "x1" + ")" * 400
         with pytest.raises(ParseError):
