@@ -280,13 +280,15 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return CyclotomicNumber(
+            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        )
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)

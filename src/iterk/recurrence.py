@@ -10,17 +10,16 @@ period j divides n*k; the checker records how j relates to n (j | n versus
 j | n*k) rather than asserting one reading, and separately verifies
 n = j / gcd(j, k).
 
-:func:`_minimal_sequence_period` is the one minimal-period search, used by
-:func:`detect_minimal_period`.  The table report and the all-tables sweep
-need none: there j is the seed's cycle length under the one-term window
-shift.
+One rule gives every sequence period: the terms repeat after d steps exactly
+when their k-term window does.  :func:`detect_minimal_period` walks the
+windows until one recurs; the table report and the all-tables sweep read j
+off as the seed's cycle length under the same one-term window shift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .tables import FiniteTable, check_state_budget, cycle_report, state_from_in
 #: Largest number of tables a full sweep will visit.
 SWEEP_BUDGET = 10**7
 
-#: Default search horizon (in sequence terms) for period detection.
+#: Default largest witness index (window position) searched for a period.
 DETECT_BOUND = 10_000
 
 
@@ -86,55 +85,36 @@ def consistency_check(spec: RecurrenceSpec, n: int) -> bool:
     return window == engine_iterate(spec.map, spec.seed, n)
 
 
-def _minimal_sequence_period(terms: Sequence[Element], start: int, full: int) -> int:
-    # terms[start:] is periodic with period `full`; the minimal period is a
-    # divisor of it, found by direct window comparison
-    for d in range(1, full + 1):
-        if full % d == 0 and all(
-            terms[start + i] == terms[start + i + d] for i in range(full)
-        ):
-            return d
-    raise RuntimeError("period window did not confirm its own length")
-
-
 def detect_minimal_period(
     spec: RecurrenceSpec, bound: int = DETECT_BOUND
 ) -> CycleFinding:
     """Minimal eventual period of the generated sequence.
 
-    The sequence is generated once, one term at a time; after every k terms
-    its last k form the next state of the orbit under the first iterate
-    (elements must be hashable).  When a state recurs, the terms from its
-    first occurrence on repeat with the state period times k, so a second
-    period is copied rather than computed, and the minimal period is read
-    off those terms.  Each term costs one application of the map.  Returns
-    an absent period if no state recurs within ``bound`` terms.
+    Walks the k-term windows, each the previous one shifted by one term (one
+    application of the map; elements must be hashable), and stops at the
+    first window t that was seen before.  A second walk from the seed finds
+    that window's first occurrence s.  The terms repeat after d steps from r on
+    exactly when window r + d equals window r, so t - s is the minimal
+    period and s the preperiod.  A period is found exactly when its witness
+    index t is at most ``bound``; otherwise the period is absent.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    k = spec.map.arity
-    seen: dict[tuple, int] = {}
-    terms = list(spec.seed)
-    state = tuple(terms)
-    step = 0
-    while (step + 1) * k <= bound:
-        if state in seen:
-            break
-        seen[state] = step
-        for _ in range(k):
-            terms.append(spec.map.apply(terms[-k:]))
-        state = tuple(terms[-k:])
-        step += 1
-    if state not in seen:
-        return CycleFinding(None, 0, None)
-    rho, p = seen[state], step - seen[state]
-    start, full = rho * k, p * k
-    terms = terms[: start + full] + terms[start : start + full]
-    j = _minimal_sequence_period(terms, start, full)
-    r = start
-    while r > 0 and terms[r - 1] == terms[r - 1 + j]:
-        r -= 1
-    return CycleFinding(j, r, r + j)
+    apply = spec.map.apply
+    seen = set()
+    window = tuple(spec.seed)
+    t = 0
+    while window not in seen:
+        if t == bound:
+            return CycleFinding(None, 0, None)
+        seen.add(window)
+        window = window[1:] + (apply(window),)
+        t += 1
+    first, s = tuple(spec.seed), 0
+    while first != window:
+        first = first[1:] + (apply(first),)
+        s += 1
+    return CycleFinding(t - s, s, t)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,21 @@ class TestRootsOfUnity:
         one = CyclotomicNumber.one(3)
         assert (one - z).inverse() * (one - z) == one
 
+    def test_subtraction_is_coefficientwise(self):
+        z = CyclotomicNumber.zeta(12)
+        c = (z**5 + 3) / 3 + Fraction(2, 7)
+        d = 5 * (z**7 - 2) / 2
+        head, tail = c.coeffs[0], c.coeffs[1:]
+        for got, want in [
+            (c - d, [a - b for a, b in zip(c.coeffs, d.coeffs)]),
+            (d - c, [b - a for a, b in zip(c.coeffs, d.coeffs)]),
+            (c - 1, [head - 1, *tail]),
+            (1 - c, [1 - head, *(-a for a in tail)]),
+            (Fraction(1, 3) - c, [Fraction(1, 3) - head, *(-a for a in tail)]),
+        ]:
+            assert got.order == 12 and list(got.coeffs) == want
+            assert all(type(a) is Fraction for a in got.coeffs)
+
     def test_primitive_root_order_is_exact(self):
         for n in range(1, 13):
             z = CyclotomicNumber.zeta(n)

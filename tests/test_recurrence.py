@@ -11,7 +11,6 @@ from iterk.errors import ArityError, BudgetError
 from iterk.recurrence import (
     RecurrenceSpec,
     SweepTallies,
-    _minimal_sequence_period,
     augment,
     augment_table,
     consistency_check,
@@ -95,10 +94,6 @@ class TestDetectMinimalPeriod:
         found = detect_minimal_period(pair_sum_spec(), bound=1000)
         assert found.minimal_period is None
 
-    def test_unconfirmed_period_raises(self):
-        with pytest.raises(RuntimeError):
-            _minimal_sequence_period([0, 1, 0, 0], 0, 1)
-
     def test_preperiod_of_an_eventually_periodic_orbit(self):
         # 0, 5, 1, 1, 1, ... : one transient term before the fixed point
         f = KaryMap(1, lambda s: {0: 5, 5: 1, 1: 1}[s[0]])
@@ -130,14 +125,6 @@ def reference_detect(spec, bound):
     return j, r, r + j
 
 
-def first_repeat_step(spec):
-    seen, state = set(), tuple(spec.seed)
-    while state not in seen:
-        seen.add(state)
-        state = first_iterate(spec.map, state)
-    return len(seen)
-
-
 class TestDetectMatchesTwoPassReference:
     def test_random_table_maps(self):
         rng = random.Random(11)
@@ -146,15 +133,18 @@ class TestDetectMatchesTwoPassReference:
             entries = [rng.randrange(m) for _ in range(m**k)]
             f = FiniteTable.from_values(m, k, entries).as_map()
             spec = RecurrenceSpec(f, tuple(rng.randrange(m) for _ in range(k)))
-            # the first bound that sees the repeated state, one below it,
-            # one under the arity, and random ones
-            edge = first_repeat_step(spec) * k
-            bounds = {edge, max(1, edge - 1), max(1, k - 1)}
+            # a period is found exactly when its witness index is within the
+            # bound: try the witness, one below it, one under the arity and
+            # random bounds
+            want = reference_detect(spec, 10**9)
+            witness = want[2]
+            bounds = {witness, max(1, witness - 1), max(1, k - 1)}
             bounds |= {rng.randint(1, 3 * k * m**k) for _ in range(3)}
             for bound in sorted(bounds):
                 found = detect_minimal_period(spec, bound)
                 got = (found.minimal_period, found.preperiod, found.witness_index)
-                assert got == reference_detect(spec, bound), (entries, spec.seed, bound)
+                expected = want if witness <= bound else (None, 0, None)
+                assert got == expected, (entries, spec.seed, bound)
 
     def test_each_term_applies_the_map_once(self):
         # a(n+2) = 7 a(n) + a(n+1) mod 31 has a primitive characteristic
@@ -169,6 +159,20 @@ class TestDetectMatchesTwoPassReference:
         found = detect_minimal_period(RecurrenceSpec(KaryMap(2, fn), (0, 1)), 2000)
         assert (found.minimal_period, found.preperiod, found.witness_index) == (960, 0, 960)
         assert calls <= 960 + 2
+
+    def test_three_argument_windows_apply_the_map_once_per_term(self):
+        # a(n+3) = 2 a(n) + a(n+2) mod 5 has a primitive characteristic
+        # polynomial, so from a nonzero seed the period is 5**3 - 1 = 124
+        calls = 0
+
+        def fn(s):
+            nonlocal calls
+            calls += 1
+            return (2 * s[0] + s[2]) % 5
+
+        found = detect_minimal_period(RecurrenceSpec(KaryMap(3, fn), (0, 0, 1)))
+        assert (found.minimal_period, found.preperiod, found.witness_index) == (124, 0, 124)
+        assert calls <= 124 + 3
 
 
 class TestCorrespondenceReport:
