@@ -11,7 +11,10 @@ Arithmetic on residues runs in integers: a product puts each operand over
 the lcm of its denominators, multiplies the two integer polynomials, and
 folds the high powers back with cached integer rows ``z^i mod Phi_n`` (the
 modulus is monic and integral).  The result becomes lowest-terms
-``Fraction`` coefficients once, at the end.
+``Fraction`` coefficients once, at the end.  No polynomial is ever divided:
+``Phi_n`` is the Moebius product of the ``(1 - x^d)^mu(n/d)``, and an
+inverse is the product of the other Galois conjugates over the norm, so
+every operation is integer multiplication followed by one reduction.
 
 All values in one computation must share a single root order n; callers mix
 orders by embedding into a common multiple first (``z_a -> z_lcm^(lcm/a)``).
@@ -23,8 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
 from .errors import BudgetError, ParseError
 
@@ -43,20 +45,11 @@ def fibonacci(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomials as ascending coefficient lists, over the integers or the
-# rationals: just enough machinery for cyclotomic polynomials, residues
-# modulo them and inverses
+# polynomials as ascending coefficient lists of integers: one product and one
+# reduction modulo the cyclotomic polynomial, and no division anywhere
 
-def _degree(p) -> int:
-    d = len(p) - 1
-    while d >= 0 and p[d] == 0:
-        d -= 1
-    return d
-
-
-def _poly_mul(a, b) -> list:
-    # a typed zero, so rational inputs give rational coefficients throughout
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -64,30 +57,17 @@ def _poly_mul(a, b) -> list:
     return out
 
 
-def _poly_divmod(num, den) -> tuple[list, list]:
-    """(q, r) with num = q*den + r and deg r < deg den; den must be nonzero.
-
-    A monic divisor is never divided by, so integer inputs stay integers.
-    """
-    r = list(num)
-    dd = _degree(den)
-    lead = den[dd]
-    q = [0] * max(len(r) - dd, 1)
-    for i in range(len(r) - 1, dd - 1, -1):
-        c = r[i] if lead == 1 else r[i] / lead
-        q[i - dd] = c
-        if c:
-            for j in range(dd + 1):
-                r[i - dd + j] -= c * den[j]
-    return q, r[:dd]
-
-
-def _poly_div_int(num: list[int], den: list[int]) -> list[int]:
-    # den is monic; division must be exact here
-    q, r = _poly_divmod(num, den)
-    if any(r):
-        raise RuntimeError("non-exact polynomial division")
-    return q
+def _mobius(n: int) -> int:
+    # 0 unless n is squarefree, else -1 to the number of its prime factors
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
 @dataclass(frozen=True)
@@ -106,8 +86,12 @@ class CycloPolynomial:
 def cyclotomic_polynomial(n: int) -> CycloPolynomial:
     """Compute the n-th cyclotomic polynomial.
 
-    Divides x^n - 1 by the product of the polynomials of all proper divisors
-    of n; every step is exact integer arithmetic.
+    For n > 1 it is the Moebius product over the divisors d of n of
+    (1 - x^d)^mu(n/d), whose signs against the (x^d - 1)^mu(n/d) cancel
+    because the mu(n/d) sum to 0.  It is expanded as a power series up to
+    its degree phi(n) = sum d*mu(n/d).  A factor 1 - x^d is a descending pass
+    ``c[i] -= c[i-d]`` and a factor 1/(1 - x^d) an ascending pass
+    ``c[i] += c[i-d]``, so every step is an integer addition.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -115,12 +99,19 @@ def cyclotomic_polynomial(n: int) -> CycloPolynomial:
         raise BudgetError(
             f"root order {n} exceeds the supported bound {MAX_ROOT_ORDER}"
         )
-    num = [-1] + [0] * (n - 1) + [1]
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d).coefficients)
-    return CycloPolynomial(n, tuple(_poly_div_int(num, den)))
+    if n == 1:
+        return CycloPolynomial(1, (-1, 1))
+    factors = [(d, _mobius(n // d)) for d in range(1, n + 1) if n % d == 0]
+    deg = sum(d * mu for d, mu in factors)
+    c = [1] + [0] * deg
+    for d, mu in factors:
+        if mu == 1:
+            for i in range(deg, d - 1, -1):
+                c[i] -= c[i - d]
+        elif mu == -1:
+            for i in range(d, deg + 1):
+                c[i] += c[i - d]
+    return CycloPolynomial(n, tuple(c))
 
 
 @lru_cache(maxsize=None)
@@ -169,22 +160,6 @@ def _over_common_denominator(coeffs) -> tuple[list[int], int]:
 def _residue(order: int, nums: list[int], den: int = 1) -> tuple[Fraction, ...]:
     """The canonical coefficients of ``nums / den``: reduced, in lowest terms."""
     return tuple(Fraction(c, den) for c in _reduce(order, nums))
-
-
-def _poly_xgcd(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, s) with s*a = g (mod b) and g the monic gcd of a and b."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    while _degree(r1) >= 0:
-        q, r = _poly_divmod(r0, r1)
-        qs = _poly_mul(q, s1)
-        r0, r1 = r1, r
-        s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
-    d = _degree(r0)
-    lead = r0[d]
-    return [c / lead for c in r0[: d + 1]], [c / lead for c in s0]
 
 
 @dataclass(frozen=True)
@@ -263,7 +238,10 @@ class CyclotomicNumber:
 
     # -- field operations ---------------------------------------------------
 
+    # an int or Fraction operand changes coefficient 0 alone
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CyclotomicNumber(self.order, (self.coeffs[0] + other,) + self.coeffs[1:])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -277,6 +255,8 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CyclotomicNumber(self.order, (self.coeffs[0] - other,) + self.coeffs[1:])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -285,10 +265,7 @@ class CyclotomicNumber:
         )
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -301,15 +278,25 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended gcd with the modulus."""
+        """Multiplicative inverse from the Galois norm.
+
+        With x = nums/den and R the product of the conjugates x(z^u) of nums
+        for the units u != 1 modulo the order, R*nums is the norm of nums, a
+        nonzero integer, so 1/x = den*R / norm.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order).coefficients]
-        g, s = _poly_xgcd(list(self.coeffs), phi)
-        if len(g) != 1:
-            # cannot happen: the modulus is irreducible over the rationals
-            raise ArithmeticError("residue shares a factor with the modulus")
-        return CyclotomicNumber(self.order, _residue(self.order, *_over_common_denominator(s)))
+        n = self.order
+        nums, den = _over_common_denominator(self.coeffs)
+        r = [1]
+        for u in range(2, n):
+            if gcd(u, n) == 1:
+                conj = [0] * n
+                for i, c in enumerate(nums):
+                    conj[i * u % n] = c
+                r = _reduce(n, _poly_mul(r, _reduce(n, conj)))
+        norm = _reduce(n, _poly_mul(r, nums))[0]
+        return CyclotomicNumber(n, _residue(n, [c * den for c in r], norm))
 
     def __truediv__(self, other):
         other = self._coerce(other)

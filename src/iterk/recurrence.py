@@ -212,8 +212,7 @@ def cycle_correspondence_sweep(
     limit = SWEEP_BUDGET if budget is None else budget
     if tables_exceed(m, k, limit):
         raise BudgetError(f"{m}**({m}**{k}) tables exceed the sweep budget {limit}")
-    t = np.asarray(_kernels.cycle_sweep(m, k))
-    return SweepTallies(m, k, *(int(v) for v in t))
+    return SweepTallies(m, k, *(int(v) for v in _kernels.cycle_sweep(m, k)))
 
 
 # ---------------------------------------------------------------------------

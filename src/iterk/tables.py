@@ -175,8 +175,7 @@ class CycleReport:
 def _first_iterate(t: FiniteTable, budget: int | None = None) -> tuple[np.ndarray, bool]:
     # the first iterate as a map on state indices, and whether it is injective
     check_state_budget(t.m, t.k, budget)
-    perm, injective = _kernels.table_perm(t.entries, t.m, t.k)
-    return np.asarray(perm), injective
+    return _kernels.table_perm(t.entries, t.m, t.k)
 
 
 def as_permutation(t: FiniteTable, budget: int | None = None) -> np.ndarray | None:
