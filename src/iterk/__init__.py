@@ -32,7 +32,7 @@ _EXPORTS = {
     "errors": ("ArityError", "BudgetError", "NonAffineError", "ParseError"),
     "exactnum": (
         "CycloPolynomial", "CyclotomicField", "CyclotomicNumber", "RationalField",
-        "cyclotomic_polynomial", "fibonacci", "join_fields", "parse_cyclo",
+        "cyclotomic_polynomial", "fibonacci", "join_fields",
     ),
     "tables": (
         "CycleReport", "FiniteTable", "PropertyProfile", "as_permutation", "conjugate",
@@ -55,8 +55,8 @@ _EXPORTS = {
         "cycle_correspondence_sweep", "detect_minimal_period", "generate",
     ),
     "parser": (
-        "MapDef", "parse_map_def", "parse_scalar", "parse_seed", "render", "render_def",
-        "to_affine", "to_kary_map",
+        "MapDef", "parse_cyclo", "parse_map_def", "parse_scalar", "parse_seed", "render",
+        "render_def", "to_affine", "to_kary_map",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

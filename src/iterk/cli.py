@@ -11,6 +11,7 @@ output is deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,7 +20,7 @@ import sys
 # reads the parser only for a seed
 import iterk
 
-from .errors import ArityError, BudgetError, NonAffineError, ParseError
+from .errors import ArityError, BudgetError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -260,12 +261,7 @@ def _cmd_claim1(args) -> int:
         f"j_divides_n_failures: {sweep.j_divides_n_failures}",
         f"j_divides_nk_violations: {sweep.j_divides_nk_violations}",
     ]
-    payload = {f: getattr(sweep, f) for f in (
-        "m", "k", "tables", "bijective_tables", "cyclic_states",
-        "direction1_violations", "j_divides_n_count", "j_divides_n_failures",
-        "j_divides_nk_violations",
-    )}
-    _emit(args, lines, payload)
+    _emit(args, lines, dataclasses.asdict(sweep))
     return EXIT_OK
 
 
@@ -550,7 +546,8 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, NonAffineError, ArityError, ValueError, ZeroDivisionError, OSError) as exc:
+    # ParseError, NonAffineError and ArityError are ValueErrors
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

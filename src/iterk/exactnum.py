@@ -18,17 +18,19 @@ every operation is integer multiplication followed by one reduction.
 
 All values in one computation must share a single root order n; callers mix
 orders by embedding into a common multiple first (``z_a -> z_lcm^(lcm/a)``).
+
+This module is arithmetic only and reads no text: a rendered value parses
+back through the definition grammar, with :func:`iterk.parser.parse_cyclo`.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import BudgetError, ParseError
+from .errors import BudgetError
 
 #: Largest root order for which the reduction modulus is computed.
 MAX_ROOT_ORDER = 64
@@ -348,7 +350,8 @@ class CyclotomicNumber:
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
-        """Canonical polynomial string in ``z``, e.g. ``-1/2*z + 3``."""
+        """Canonical polynomial string in ``z``, e.g. ``-1/2*z + 3``;
+        :func:`iterk.parser.parse_cyclo` reads it back given the order."""
         terms = []
         for p in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[p]
@@ -376,49 +379,6 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber({self.order}, {self.render()!r})"
-
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?: (?P<num>\d+)(?:/(?P<den>\d+))? (?:\s*\*\s*(?P<zc>z(?:\^(?P<powc>\d+))?))?
-          | (?P<z>z(?:\^(?P<pow>\d+))?) )\s*""",
-    re.VERBOSE,
-)
-
-
-def parse_cyclo(text: str, order: int) -> CyclotomicNumber:
-    """Parse the output of :meth:`CyclotomicNumber.render` back, losslessly.
-
-    The order is not part of the rendering, so it must be supplied.
-    """
-    pos = 0
-    total = CyclotomicNumber.zero(order)
-    first = True
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"bad term in value {text!r}", column=pos + 1)
-        if not first and m.group("sign") is None:
-            raise ParseError("missing + or - between terms", column=pos + 1)
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("z"):
-            coeff = Fraction(1)
-            power = int(m.group("pow") or 1)
-        else:
-            den = int(m.group("den") or 1)
-            if den == 0:
-                raise ParseError("zero denominator", column=pos + 1)
-            coeff = Fraction(int(m.group("num")), den)
-            power = 0
-            if m.group("zc"):
-                power = int(m.group("powc") or 1)
-        term = CyclotomicNumber.zeta(order, power) * coeff * sign
-        total = total + term
-        pos = m.end()
-        first = False
-    if first:
-        raise ParseError("empty value")
-    return total
 
 
 # ---------------------------------------------------------------------------

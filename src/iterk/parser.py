@@ -15,6 +15,11 @@ Declared variables must be x1..xk in order.  The scalar field is inferred:
 rational unless ``zeta`` literals occur, in which case all values live in
 the field of the least common multiple of the root orders.  Every error is
 reported as :class:`ParseError` with a line and column.
+
+``z`` is the root symbol of rendered cyclotomic values (``-1/2*z + 3``).
+:func:`parse_cyclo` gives the grammar a root order n, and there the factor
+``z ["^" int]`` means ``zeta(n) ["^" int]``; definitions and seeds have no
+root order, so ``z`` is an unknown name in them.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import reduce
 from typing import TYPE_CHECKING, Callable, Union
 
 import iterk
@@ -34,8 +39,10 @@ from .errors import NonAffineError, ParseError
 from .exactnum import (
     MAX_ROOT_ORDER,
     CyclotomicField,
+    CyclotomicNumber,
     Field,
     RationalField,
+    join_fields,
 )
 
 if TYPE_CHECKING:  # affine needs numpy, which parsing and evaluation do not
@@ -110,7 +117,7 @@ def field_of(*exprs: MapExpr) -> Field:
     """Smallest field holding every literal of ``exprs``: the rationals, or
     the cyclotomic field of the lcm of their root orders."""
     orders = set().union(*map(_zeta_orders, exprs))
-    return CyclotomicField(lcm(*orders)) if orders else RationalField()
+    return reduce(join_fields, map(CyclotomicField, orders), RationalField())
 
 
 def _zeta_orders(expr: MapExpr) -> set[int]:
@@ -176,10 +183,11 @@ _MAX_DEPTH = 200
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, root_order: int | None = None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.root_order = root_order  # what ``z`` names, if anything
 
     @property
     def current(self) -> _Token:
@@ -204,6 +212,10 @@ class _Parser:
         if self.current.kind == kind:
             return self._advance()
         return None
+
+    def _end(self):
+        if self.current.kind != "eof":
+            self._fail(f"unexpected trailing input {self.current.text!r}")
 
     # grammar rules
 
@@ -232,8 +244,7 @@ class _Parser:
         self._expect(")", "')' or ','")
         self._expect("=", "'='")
         body = self.expr(arity)
-        if self.current.kind != "eof":
-            self._fail(f"unexpected trailing input {self.current.text!r}")
+        self._end()
         return MapDef(arity, body)
 
     def expr(self, arity: int) -> MapExpr:
@@ -269,6 +280,9 @@ class _Parser:
             if tok.kind == "name":
                 if tok.text == "zeta":
                     return self.zeta()
+                if tok.text == "z" and self.root_order is not None:
+                    self._advance()
+                    return ZetaLit(self.root_order, self._power(), (tok.line, tok.column))
                 m = re.fullmatch(r"x(\d+)", tok.text)
                 if m:
                     index = int(m.group(1))
@@ -309,10 +323,11 @@ class _Parser:
                 order_tok.column,
             )
         self._expect(")", "')'")
-        power = 1
-        if self._accept("^"):
-            power = int(self._expect("int", "an exponent").text)
-        return ZetaLit(order, power, (name.line, name.column))
+        return ZetaLit(order, self._power(), (name.line, name.column))
+
+    def _power(self) -> int:
+        # the optional "^" int after a root
+        return int(self._expect("int", "an exponent").text) if self._accept("^") else 1
 
 
 def parse_map_def(text: str) -> MapDef:
@@ -320,13 +335,27 @@ def parse_map_def(text: str) -> MapDef:
     return _Parser(text).map_def()
 
 
+def _constant(text: str, root_order: int | None = None) -> MapExpr:
+    # one constant expression, then end of input
+    p = _Parser(text, root_order)
+    node = p.expr(arity=0)
+    p._end()
+    return node
+
+
 def parse_scalar(text: str) -> MapExpr:
     """Parse a single constant expression (no variables)."""
-    p = _Parser(text)
-    node = p.expr(arity=0)
-    if p.current.kind != "eof":
-        p._fail(f"unexpected trailing input {p.current.text!r}")
-    return node
+    return _constant(text)
+
+
+def parse_cyclo(text: str, order: int) -> CyclotomicNumber:
+    """Read a value rendered by :meth:`CyclotomicNumber.render` back, losslessly.
+
+    ``z`` is the primitive ``order``-th root, which the rendering does not
+    record.  Any constant expression is accepted, so ``(1 + z)*z``,
+    ``z ^ 2`` and ``zeta(order)`` parse too.
+    """
+    return eval_scalar(_constant(text, order), CyclotomicField(order))
 
 
 def parse_seed(text: str) -> list[MapExpr]:
@@ -335,8 +364,7 @@ def parse_seed(text: str) -> list[MapExpr]:
     exprs = [p.expr(arity=0)]
     while p._accept(","):
         exprs.append(p.expr(arity=0))
-    if p.current.kind != "eof":
-        p._fail(f"unexpected trailing input {p.current.text!r}")
+    p._end()
     return exprs
 
 
@@ -399,6 +427,8 @@ def _compile(expr: MapExpr, field: Field, arity: int) -> Callable[[tuple], objec
     if isinstance(expr, ZetaLit):
         if isinstance(field, RationalField):
             raise ParseError("root-of-unity literal in a rational context", *expr.at)
+        if field.order % expr.order:
+            raise ParseError(f"zeta({expr.order}) is not in {field}", *expr.at)
         value = field.coerce(CyclotomicField(expr.order).zeta(expr.power))
         return lambda s: value
     if isinstance(expr, Group):

@@ -431,16 +431,10 @@ def iter_all_tables(m: int, k: int, budget: int | None = None) -> Iterator[Finit
         raise BudgetError(f"{m}**({m}**{k}) tables exceed the enumeration budget {limit}")
     n_states = m**k
     total = m**n_states
-    entries = np.zeros(n_states, np.int64)
-    for _ in range(total):
-        yield FiniteTable(m, k, entries.copy())
-        pos = n_states - 1
-        while pos >= 0:
-            entries[pos] += 1
-            if entries[pos] < m:
-                break
-            entries[pos] = 0
-            pos -= 1
+    rows = max(1, _kernels._CHUNK // n_states)
+    for start in range(0, total, rows):
+        for row in _kernels.digits(start, min(start + rows, total), m, n_states):
+            yield FiniteTable(m, k, row)
 
 
 def enumerate_ii_tables(

@@ -17,8 +17,8 @@ from iterk.exactnum import (
     cyclotomic_polynomial,
     fibonacci,
     join_fields,
-    parse_cyclo,
 )
+from iterk.parser import parse_cyclo
 
 
 def euler_phi(n: int) -> int:
@@ -268,13 +268,34 @@ class TestRendering:
         assert CyclotomicNumber.zeta(4).render() == "z"
         assert (-CyclotomicNumber.zeta(4)).render() == "-z"
 
+    def test_round_trip_at_every_order(self):
+        rng = random.Random(13)
+        for order in range(1, MAX_ROOT_ORDER + 1):
+            values = [random_element(rng, order) for _ in range(3)]
+            values += [CyclotomicNumber.zeta(order, p) for p in range(order)]
+            values += [CyclotomicNumber.from_rational(q, order) for q in (0, Fraction(-7, 3))]
+            for x in values:
+                assert parse_cyclo(x.render(), order) == x
+
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ParseError):
-            parse_cyclo("z +", 3)
-        with pytest.raises(ParseError):
-            parse_cyclo("1/0", 3)
-        with pytest.raises(ParseError):
-            parse_cyclo("", 3)
+        # a malformed value is a ParseError at its line and column
+        for text, at in [("z +", (1, 4)), ("1/0", (1, 3)), ("", (1, 1)), ("2 z", (1, 3)),
+                         ("1 +\n  z^", (2, 5))]:
+            with pytest.raises(ParseError) as err:
+                parse_cyclo(text, 3)
+            assert (err.value.line, err.value.column) == at
+
+    def test_any_constant_expression_parses(self):
+        z = CyclotomicNumber.zeta(3)
+        assert parse_cyclo("(1 + z)*z", 3) == (1 + z) * z == -1
+        assert parse_cyclo("z ^ 2", 3) == z * z
+        z6 = CyclotomicNumber.zeta(6)
+        assert parse_cyclo("zeta(3) - z", 6) == z6 * z6 - z6
+
+    def test_a_root_outside_the_field_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_cyclo("1 + zeta(5)", 3)
+        assert (err.value.line, err.value.column) == (1, 5)
 
 
 class TestFields:

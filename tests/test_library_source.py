@@ -1,5 +1,6 @@
-"""Library source checks: results must not change under ``python -O``, and
-only the package's lazy attributes decide which iterk modules load."""
+"""Library source checks: results must not change under ``python -O``, only
+the package's lazy attributes decide which iterk modules load, and each text
+format has one reader."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,16 @@ def test_only_the_package_imports_iterk_modules_inside_functions():
         if imports_iterk(inner)
     ]
     assert found == []
+
+
+def test_only_the_two_text_readers_raise_parse_errors():
+    # the definition grammar (which also reads rendered cyclotomic values)
+    # and the table file format are the only text the library reads
+    found = {
+        name
+        for name, node in _nodes()
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "ParseError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    }
+    assert found == {"parser.py", "tables.py"}

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import iterk
 from iterk.errors import NonAffineError, ParseError
 from iterk.exactnum import CyclotomicField, RationalField
 from iterk.parser import (
@@ -156,6 +157,14 @@ class TestScalars:
     def test_parse_seed(self):
         values = [eval_scalar(e) for e in parse_seed("1/2, -3, 2*2")]
         assert values == [Fraction(1, 2), -3, 4]
+
+    def test_z_is_a_name_only_with_a_root_order(self):
+        # z is the root symbol of rendered values, read by parse_cyclo alone
+        with pytest.raises(ParseError, match=r"^1:9: unknown name 'z'$"):
+            parse_map_def("f(x1) = z*x1")
+        with pytest.raises(ParseError, match=r"^1:1: unknown name 'z'$"):
+            parse_seed("z")
+        assert iterk.parse_cyclo is iterk.parser.parse_cyclo
 
     def test_variables_rejected_in_scalars(self):
         with pytest.raises(ParseError):

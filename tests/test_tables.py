@@ -523,6 +523,20 @@ class TestInvolutionCounting:
             sys.set_int_max_str_digits(limit)
         assert len(str(count_involutions(2000))) == 2886
 
+class TestIterAllTables:
+    @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_every_table_in_row_major_order(self, m, k):
+        # (3, 2) has 19,683 tables, more than one chunk of the digit kernel
+        assert [t.values() for t in iter_all_tables(m, k)] == list(
+            itertools.product(range(m), repeat=m**k)
+        )
+
+    def test_budget_is_checked_before_the_first_table(self):
+        tables_seen = iter_all_tables(4, 2)
+        with pytest.raises(BudgetError, match=r"4\*\*\(4\*\*2\) tables"):
+            next(tables_seen)
+
+
 def brute_ii_tables(m, k):
     # oracle for the fiber-built enumeration: filter every table directly
     return [
