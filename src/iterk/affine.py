@@ -2,28 +2,46 @@
 
 For an affine map the first iterate is itself affine: an exact k-by-k
 matrix plus offset vector, read off :func:`engine.first_iterate` at the zero
-state and the unit vectors.  Matrix products are numpy ``dtype=object``
-products over the exact scalars.  The n-th iterate is the n-th power of the
+state and the unit vectors.  The n-th iterate is the n-th power of the
 (matrix, offset) pair, taken by square-and-multiply and applied to the state
-as it goes; no homogeneous (k+1)-matrix is formed.  The scalar domain is either the rationals or a
-cyclotomic field, both through the same code; nothing here touches floating
-point except :func:`decreasing_involution_residuals`, which numerically
-probes a conjugacy identity between a strictly decreasing involution on the
-positive reals and the negation map.
+as it goes; no homogeneous (k+1)-matrix is formed.
+
+The powers run in integers.  When the first iterate is built, its pair is
+lifted once to an integral pair (A, b) over one positive denominator D: each
+entry is the list of its integer power-basis coordinates, phi(N) of them in
+Q(zeta_N) and one in Q, so the rationals and every cyclotomic field share one
+path.  An entry of a product is the sum of :func:`exactnum._poly_mul` over
+the inner index, reduced once by :func:`exactnum._reduce`; a square is
+(A*A, A*b + D*b) over D**2, and the pair applied to a state u/s is
+(A*u + s*b)/(D*s).  Each square and application takes one common gcd out of
+its entries and denominator, and ``Fraction`` and ``CyclotomicNumber`` values
+are built only for the result.  Nothing here touches floating point except
+:func:`decreasing_involution_residuals`, which numerically probes a conjugacy
+identity between a strictly decreasing involution on the positive reals and
+the negation map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from operator import add
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .engine import Element, KaryMap, State, first_iterate, iterate as engine_iterate
 from .errors import ArityError
-from .exactnum import CyclotomicField, Field, RationalField, fibonacci
+from .exactnum import (
+    CyclotomicField,
+    CyclotomicNumber,
+    Field,
+    RationalField,
+    _over_common_denominator,
+    _poly_mul,
+    _reduce,
+    cyclotomic_polynomial,
+    fibonacci,
+)
 
 
 @dataclass(frozen=True)
@@ -60,13 +78,91 @@ class AffineMapSpec:
         return KaryMap(self.arity, fn, name="affine")
 
 
+# ---------------------------------------------------------------------------
+# integral pairs
+
+def _dot(row: list, col: list, order: int) -> list[int]:
+    """One entry of a product: the coordinate products summed over the inner
+    index and reduced once modulo the order-th cyclotomic polynomial."""
+    acc = None
+    for x, y in zip(row, col):
+        if any(x) and any(y):
+            p = _poly_mul(x, y)
+            acc = p if acc is None else list(map(add, acc, p))
+    return [0] * len(row[0]) if acc is None else _reduce(order, acc)
+
+
+def _lowest(den: int, *blocks: list) -> tuple[int, tuple]:
+    """``den`` and the entry lists of ``blocks`` divided by their common gcd,
+    which is taken only until it reaches 1."""
+    g = den
+    for block in blocks:
+        for x in block:
+            g = math.gcd(g, *x)
+            if g == 1:
+                return den, blocks
+    return den // g, tuple([[c // g for c in x] for x in block] for block in blocks)
+
+
+def _integral(elements, order: int) -> tuple[list, int]:
+    """Integer coordinate lists of ``elements`` over their least common
+    denominator, in the field of root order ``order`` (1 for Q)."""
+    d = cyclotomic_polynomial(order).degree
+    flat = []
+    for x in elements:
+        flat += x.coeffs if isinstance(x, CyclotomicNumber) else [x] + [0] * (d - 1)
+    nums, den = _over_common_denominator(flat)
+    return [nums[i : i + d] for i in range(0, len(nums), d)], den
+
+
+@dataclass(frozen=True)
+class _IntegralPair:
+    """x -> (A x + b) / den, with A as a list of rows.  An entry is the list
+    of its integer power-basis coordinates in the field of root order
+    ``order`` (1 for Q)."""
+
+    order: int
+    matrix: list
+    offset: list
+    den: int
+
+    def image(self, v: list, s: int) -> list:
+        """A v + s b: the pair applied to v / s, over den * s and not yet in
+        lowest terms."""
+        return [
+            [c + s * y for c, y in zip(_dot(row, v, self.order), b)]
+            for row, b in zip(self.matrix, self.offset)
+        ]
+
+    def after(self, inner: "_IntegralPair") -> "_IntegralPair":
+        """This pair applied after ``inner``: (A P, A t + E b) over den * E."""
+        cols = list(zip(*inner.matrix))
+        rows = [[_dot(row, col, self.order) for col in cols] for row in self.matrix]
+        offset = self.image(inner.offset, inner.den)
+        den, (*rows, offset) = _lowest(self.den * inner.den, *rows, offset)
+        return _IntegralPair(self.order, rows, offset, den)
+
+
 @dataclass(frozen=True)
 class AffineFirstIterate:
-    """The first iterate of an affine map: state -> matrix @ state + offset."""
+    """The first iterate of an affine map: state -> matrix @ state + offset.
+
+    ``matrix`` and ``offset`` hold field elements; the integral pair that
+    the powers run on is lifted from them once, here.
+    """
 
     matrix: tuple
     offset: tuple
     field: Field
+    _pair: _IntegralPair = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        order = self.field.order if isinstance(self.field, CyclotomicField) else 1
+        k = len(self.offset)
+        entries = [x for row in self.matrix for x in row] + list(self.offset)
+        coords, den = _integral(map(self.field.coerce, entries), order)
+        rows = [coords[i * k : (i + 1) * k] for i in range(k)]
+        object.__setattr__(self, "_pair", _IntegralPair(order, rows, coords[k * k :], den))
 
     @property
     def arity(self) -> int:
@@ -75,8 +171,7 @@ class AffineFirstIterate:
     def apply(self, state: Sequence[Element]) -> State:
         if len(state) != self.arity:
             raise ArityError(f"state length {len(state)} != arity {self.arity}")
-        product = np.array(self.matrix, dtype=object) @ np.array(state, dtype=object)
-        return tuple(product + self.offset)
+        return _power_image(self, state, 1)
 
 
 def build_first_iterate(spec: AffineMapSpec) -> AffineFirstIterate:
@@ -94,26 +189,56 @@ def build_first_iterate(spec: AffineMapSpec) -> AffineFirstIterate:
     return AffineFirstIterate(matrix, offset, spec.field)
 
 
-def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
-    """n-th iterate by square-and-multiply on the (matrix, offset) pair.
+def _state_order(it: AffineFirstIterate, state: Sequence[Element]) -> int | None:
+    """Root order of the field the pair acts in on ``state``, None for Q: a
+    rational pair takes the state's field, a cyclotomic one keeps its own."""
+    orders = set()
+    for x in state:
+        if isinstance(x, CyclotomicNumber):
+            orders.add(x.order)
+        elif not isinstance(x, (int, Fraction)):
+            raise TypeError(f"state element {x!r} is not an int, Fraction or CyclotomicNumber")
+    if isinstance(it.field, CyclotomicField):
+        orders.add(it.field.order)
+    if len(orders) > 1:
+        a, b = sorted(orders)[:2]
+        raise ValueError(f"mixed root orders {a} and {b}; embed first")
+    return orders.pop() if orders else None
 
-    Bit j of n applies (A_j, b_j), the 2**j-th iterate, to the state; the
-    next pair is its square, (A_j @ A_j, A_j @ b_j + b_j).  At n = 0 the
-    state comes back with its own element types.
-    """
+
+def _power_image(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
+    """The n-th iterate of ``state`` for n >= 1: bit j of n applies the
+    2**j-th power of the pair, and the next power is its square."""
+    order = _state_order(it, state)
+    pair = it._pair
+    if order is not None and pair.order != order:
+        # a rational pair, lifted into the state's field
+        pad = [0] * (cyclotomic_polynomial(order).degree - 1)
+        pair = _IntegralPair(
+            order, [[x + pad for x in row] for row in pair.matrix],
+            [x + pad for x in pair.offset], pair.den,
+        )
+    v, s = _integral(state, pair.order)
+    while True:
+        if n & 1:
+            s, (v,) = _lowest(pair.den * s, pair.image(v, s))
+        n >>= 1
+        if not n:
+            break
+        pair = pair.after(pair)
+    if order is None:
+        return tuple(Fraction(x[0], s) for x in v)
+    return tuple(CyclotomicNumber(order, tuple(Fraction(c, s) for c in x)) for x in v)
+
+
+def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
+    """n-th iterate by square-and-multiply on the integral (matrix, offset)
+    pair.  At n = 0 the state comes back with its own element types."""
     if len(state) != it.arity:
         raise ArityError(f"state length {len(state)} != arity {it.arity}")
     if n < 0:
         raise ValueError(f"iterate count must be >= 0, got {n}")
-    a, b = np.array(it.matrix, dtype=object), np.array(it.offset, dtype=object)
-    v = np.array(state, dtype=object)
-    while n:
-        if n & 1:
-            v = a @ v + b
-        n >>= 1
-        if n:
-            a, b = a @ a, a @ b + b
-    return tuple(v)
+    return _power_image(it, state, n) if n else tuple(state)
 
 
 def affine_involutory_order(it: AffineFirstIterate, bound: int) -> int | None:
@@ -121,16 +246,15 @@ def affine_involutory_order(it: AffineFirstIterate, bound: int) -> int | None:
     offset, or None if no such n exists within the bound."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    zero = it.field.zero()
-    a, b = np.array(it.matrix, dtype=object), np.array(it.offset, dtype=object)
-    ident = np.identity(it.arity, dtype=object)
-    power, shift = a, b
+    pair = power = it._pair
+    zero = [0] * len(pair.offset[0])
+    ident = [[[int(i == j)] + zero[1:] for j in range(it.arity)] for i in range(it.arity)]
     for n in range(1, bound + 1):
-        # compare elementwise: a CyclotomicNumber defines no __bool__, so
-        # even a zero one is truthy
-        if (power == ident).all() and (shift == zero).all():
+        if n > 1:
+            power = pair.after(power)
+        # in lowest terms the identity pair has denominator 1
+        if power.den == 1 and power.matrix == ident and all(x == zero for x in power.offset):
             return n
-        power, shift = a @ power, a @ shift + b
     return None
 
 

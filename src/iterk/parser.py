@@ -45,7 +45,7 @@ from .exactnum import (
     join_fields,
 )
 
-if TYPE_CHECKING:  # affine needs numpy, which parsing and evaluation do not
+if TYPE_CHECKING:  # the affine layer loads only when to_affine runs
     from .affine import AffineMapSpec
 
 # --- abstract syntax -------------------------------------------------------

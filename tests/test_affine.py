@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from iterk.affine import (
+    AffineFirstIterate,
     AffineMapSpec,
     affine_involutory_order,
     affine_iterate,
@@ -22,7 +23,8 @@ from iterk.affine import (
 )
 from iterk.engine import KaryMap, first_iterate, iterate
 from iterk.errors import ArityError
-from iterk.exactnum import CyclotomicField, RationalField
+from iterk.exactnum import CyclotomicField, CyclotomicNumber, RationalField, cyclotomic_polynomial
+from iterk.parser import parse_map_def, to_affine
 
 
 def rand_fraction(rng):
@@ -78,6 +80,77 @@ class TestAffineIterate:
         it = build_first_iterate(AffineMapSpec.rational((1, 1)))
         with pytest.raises(ArityError):
             affine_iterate(it, (1, 2, 3), 1)
+
+
+class TestMixedFields:
+    """States whose elements lie outside the map's own field."""
+
+    def test_rational_map_on_a_zeta3_state_gives_zeta3_values(self):
+        # the rational pair is lifted into Q(zeta3), the join of the two fields
+        z = CyclotomicField(3).zeta()
+        it = build_first_iterate(AffineMapSpec.rational((2,), 1))
+        assert affine_iterate(it, (z,), 2) == (4 * z + 3,)
+        spec = AffineMapSpec.rational((Fraction(-1, 2), 3), Fraction(2, 7))
+        it, f = build_first_iterate(spec), spec.as_kary_map()
+        state = (Fraction(1, 2), z + Fraction(1, 3))
+        for n in (1, 2, 5, 8):
+            got = affine_iterate(it, state, n)
+            assert got == iterate(f, state, n)
+            assert all(type(v) is CyclotomicNumber and v.order == 3 for v in got)
+
+    def test_zeta3_map_on_int_and_fraction_states(self):
+        spec = roots_map_spec()
+        it, f = build_first_iterate(spec), spec.as_kary_map()
+        for state in [(1, 2), (Fraction(1, 2), Fraction(-3)), (0, Fraction(5, 4))]:
+            for n in (1, 3, 4):
+                got = affine_iterate(it, state, n)
+                assert got == iterate(f, state, n)
+                assert all(type(v) is CyclotomicNumber and v.order == 3 for v in got)
+
+    def test_other_root_orders_raise_value_error(self):
+        z3, z4 = CyclotomicField(3).zeta(), CyclotomicField(4).zeta()
+        it = build_first_iterate(roots_map_spec())
+        with pytest.raises(ValueError):
+            affine_iterate(it, (z4, 1), 1)
+        with pytest.raises(ValueError):
+            it.apply((z4, 1))
+        rational = build_first_iterate(AffineMapSpec.rational((1, 1)))
+        with pytest.raises(ValueError):
+            affine_iterate(rational, (z3, z4), 3)
+
+    def test_inexact_state_elements_raise_type_error(self):
+        it = build_first_iterate(AffineMapSpec.rational((1, 1)))
+        with pytest.raises(TypeError):
+            affine_iterate(it, (0.5, 1), 1)
+
+    def test_zero_iterate_returns_each_element_as_given(self):
+        z4 = CyclotomicField(4).zeta()
+        cases = [
+            (AffineMapSpec.rational((1, 1), 2), (1, Fraction(1, 3))),
+            (AffineMapSpec.rational((1, 1), 2), (z4, 5)),
+            (roots_map_spec(), (Fraction(2), 7)),
+            (roots_map_spec(), (z4, CyclotomicField(3).zeta())),
+        ]
+        for spec, state in cases:
+            got = affine_iterate(build_first_iterate(spec), state, 0)
+            assert type(got) is tuple and len(got) == len(state)
+            assert all(g is s for g, s in zip(got, state))
+
+    def test_apply_is_the_first_iterate(self):
+        z3 = CyclotomicField(3).zeta()
+        cases = [
+            (AffineMapSpec.rational((Fraction(1, 2), -3), Fraction(5, 6)), (1, Fraction(2, 3))),
+            (AffineMapSpec.rational((Fraction(1, 2), -3), 1), (z3, 2)),
+            (roots_map_spec(), (Fraction(1, 2), z3 - 1)),
+            (roots_map_spec(5, 3), (2, 3)),
+        ]
+        for spec, state in cases:
+            it = build_first_iterate(spec)
+            got, want = it.apply(state), affine_iterate(it, state, 1)
+            assert got == want == first_iterate(spec.as_kary_map(), state)
+            assert [type(v) for v in got] == [type(v) for v in want]
+        with pytest.raises(ArityError):
+            build_first_iterate(roots_map_spec()).apply((1,))
 
 
 class TestInvolutoryOrder:
@@ -198,7 +271,7 @@ class TestBitBoundaries:
         specs = [monomial_spec(rng, fld, k) for k in range(1, 6)]
         if isinstance(fld, RationalField):
             # dense maps whose numbers pass a few hundred bits by n = 257:
-            # cheap over Q, seconds per map over Q(zeta)
+            # the homogeneous reference takes seconds per map over Q(zeta)
             specs += [random_spec(rng, fld, k) for k in range(1, 6)]
         for spec in specs:
             it = build_first_iterate(spec)
@@ -224,6 +297,136 @@ class TestBitBoundaries:
             got = affine_iterate(it, state, 1000)
             assert got == homogeneous_iterate(it, state, 1000)
             assert got == iterate(spec.as_kary_map(), state, 1000 % (k + 1))
+
+
+def object_array_iterate(it, state, n):
+    """Square-and-multiply on numpy object arrays of the exact elements, with
+    one Fraction or CyclotomicNumber product per entry product: the
+    formulation the integral pair over one denominator replaced."""
+    a, b = np.array(it.matrix, dtype=object), np.array(it.offset, dtype=object)
+    v = np.array(state, dtype=object)
+    while n:
+        if n & 1:
+            v = a @ v + b
+        n >>= 1
+        if n:
+            a, b = a @ a, a @ b + b
+    return tuple(v)
+
+
+def object_array_order(it, bound):
+    """The object-array formulation of the least n <= bound whose pair power
+    is the identity pair."""
+    a, b = np.array(it.matrix, dtype=object), np.array(it.offset, dtype=object)
+    ident = np.identity(it.arity, dtype=object)
+    power, shift = a, b
+    for n in range(1, bound + 1):
+        if (power == ident).all() and (shift == it.field.zero()).all():
+            return n
+        power, shift = a @ power, a @ shift + b
+    return None
+
+
+# Q, and Q(zeta_N) from the smallest fields to the largest root orders
+DIFF_FIELDS = (RationalField(),) + tuple(
+    CyclotomicField(n) for n in (1, 3, 4, 5, 7, 8, 12, 53, 60, 64)
+)
+
+
+def sparse_spec(rng, fld, k):
+    """A random map reading one or two of its arguments."""
+    coeffs = [fld.zero()] * k
+    for j in rng.sample(range(k), min(k, 2)):
+        coeffs[j] = random_element(rng, fld)
+    return AffineMapSpec(k, tuple(coeffs), random_element(rng, fld), fld)
+
+
+def assert_canonical(values, fld):
+    """Elements of ``fld`` with lowest-terms coefficients, phi(N) of them."""
+    for v in values:
+        if isinstance(fld, RationalField):
+            coeffs = (v,)
+        else:
+            assert type(v) is CyclotomicNumber and v.order == fld.order
+            coeffs = v.coeffs
+            assert len(coeffs) == cyclotomic_polynomial(fld.order).degree
+        for c in coeffs:
+            assert type(c) is Fraction
+            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+def conjugated_sum_map(rng, fld, k):
+    """The first iterate of A - sum(x), conjugated by a random unipotent
+    upper-triangular P: dense, and still of order k + 1."""
+    base = build_first_iterate(
+        AffineMapSpec(k, (-fld.one(),) * k, random_element(rng, fld), fld)
+    )
+    nil = np.array(
+        [[random_element(rng, fld) if j > i else fld.zero() for j in range(k)] for i in range(k)],
+        dtype=object,
+    )
+    ident = np.array([[fld.one() if i == j else fld.zero() for j in range(k)] for i in range(k)],
+                     dtype=object)
+    p, p_inv, term = ident + nil, ident, ident
+    for _ in range(k - 1):
+        term = -(term @ nil)
+        p_inv = p_inv + term
+    matrix = p @ np.array(base.matrix, dtype=object) @ p_inv
+    offset = p @ np.array(base.offset, dtype=object)
+    return AffineFirstIterate(
+        tuple(tuple(fld.coerce(x) for x in row) for row in matrix),
+        tuple(fld.coerce(x) for x in offset),
+        fld,
+    )
+
+
+class TestDifferentialAgainstObjectArrays:
+    @pytest.mark.parametrize("fld", DIFF_FIELDS, ids=str)
+    def test_pair_powers_match(self, fld):
+        rng = random.Random(f"object arrays {fld}")
+        # the reference takes seconds per map once the numbers grow, and
+        # longest over the large fields, so only monomial maps go far
+        large = isinstance(fld, CyclotomicField) and fld.order > 12
+        tops = (33, 9, 9) if large else (BIT_BOUNDARIES[-1], 65, 33)
+        for k in range(1, 5):
+            specs = [monomial_spec(rng, fld, k), sparse_spec(rng, fld, k), random_spec(rng, fld, k)]
+            for spec, top in zip(specs, tops):
+                it = build_first_iterate(spec)
+                state = tuple(random_element(rng, fld) for _ in range(k))
+                for n in BIT_BOUNDARIES:
+                    if n > top:
+                        break
+                    got = affine_iterate(it, state, n)
+                    want = object_array_iterate(it, state, n)
+                    assert got == want
+                    assert [type(v) for v in got] == [type(v) for v in want]
+                    assert_canonical(got, fld)
+
+    @pytest.mark.parametrize("fld", DIFF_FIELDS, ids=str)
+    def test_orders_match(self, fld):
+        rng = random.Random(f"object array orders {fld}")
+        cases = [(conjugated_sum_map(rng, fld, k), k + 1) for k in range(1, 5)]
+        cases += [
+            (build_first_iterate(AffineMapSpec(2, (fld.one(),) * 2, fld.zero(), fld)), None),
+            (build_first_iterate(random_spec(rng, fld, 2)), None),
+        ]
+        for it, order in cases:
+            assert affine_involutory_order(it, 50) == object_array_order(it, 50) == order
+            assert affine_involutory_order(it, order or 50) == order
+            if order:
+                assert affine_involutory_order(it, order - 1) is None
+
+    def test_root_of_unity_multiples(self):
+        # zeta_N * x1 has order N: found within the bound 50, and none past it
+        for n in range(1, 65):
+            fld = CyclotomicField(n)
+            it = build_first_iterate(AffineMapSpec(1, (fld.zeta(),), fld.zero(), fld))
+            want = n if n <= 50 else None
+            assert affine_involutory_order(it, 50) == object_array_order(it, 50) == want
+        d = parse_map_def("f(x1) = zeta(3)*x1 + zeta(4)")
+        it = build_first_iterate(to_affine(d))
+        assert affine_involutory_order(it, 50) == object_array_order(it, 50) == 3
+
 
 class TestFibonacciClosedForm:
     def test_first_step(self):

@@ -75,6 +75,7 @@ def test_importing_the_package_or_cli_loads_no_numpy(statement):
         ["iterate", "--def=f(x1,x2) = x1 + x2", "--seed=1,2", "--n=30"],
         ["orbit", "--def=f(x1,x2) = zeta(3)*x1 + x2", "--seed=1,0", "--max-steps=5"],
         ["point-order", "--def=f(x1,x2,x3) = 1/2 - x1 - x2 - x3", "--seed=1,2,3"],
+        ["order", "--def=f(x1,x2) = zeta(3)*x1 + zeta(3)^2*x2"],
     ],
     ids=lambda argv: argv[0],
 )
