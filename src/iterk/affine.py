@@ -8,14 +8,14 @@ as it goes; no homogeneous (k+1)-matrix is formed.
 
 The powers run in integers.  When the first iterate is built, its pair is
 lifted once to an integral pair (A, b) over one positive denominator D: each
-entry is the list of its integer power-basis coordinates, phi(N) of them in
-Q(zeta_N) and one in Q, so the rationals and every cyclotomic field share one
-path.  An entry of a product is the sum of :func:`exactnum._poly_mul` over
-the inner index, reduced once by :func:`exactnum._reduce`; a square is
-(A*A, A*b + D*b) over D**2, and the pair applied to a state u/s is
-(A*u + s*b)/(D*s).  Each square and application takes one common gcd out of
-its entries and denominator, and ``Fraction`` and ``CyclotomicNumber`` values
-are built only for the result.  Nothing here touches floating point except
+entry is the list of its integer power-basis numerators, phi(N) of them in
+Q(zeta_N) as a ``CyclotomicNumber`` stores them and one in Q, so the
+rationals and every cyclotomic field share one path.  An entry of a product
+is :func:`exactnum._poly_mul` added up over the inner index and reduced once
+by :func:`exactnum._reduce`; a square is (A*A, A*b + D*b) over D**2, and the
+pair applied to a state u/s is (A*u + s*b)/(D*s).  Each square and
+application takes one common gcd out of its entries and denominator; result
+values take one gcd each.  Nothing here touches floating point except
 :func:`decreasing_involution_residuals`, which numerically probes a conjugacy
 identity between a strictly decreasing involution on the positive reals and
 the negation map.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from operator import add
 from typing import Callable, Sequence
 
 from .engine import Element, KaryMap, State, first_iterate, iterate as engine_iterate
@@ -36,7 +35,7 @@ from .exactnum import (
     CyclotomicNumber,
     Field,
     RationalField,
-    _over_common_denominator,
+    _canonical,
     _poly_mul,
     _reduce,
     cyclotomic_polynomial,
@@ -82,14 +81,12 @@ class AffineMapSpec:
 # integral pairs
 
 def _dot(row: list, col: list, order: int) -> list[int]:
-    """One entry of a product: the coordinate products summed over the inner
-    index and reduced once modulo the order-th cyclotomic polynomial."""
-    acc = None
+    """One entry of a product: the coordinate products over the inner index,
+    added into one list and reduced once modulo the cyclotomic polynomial."""
+    acc = [0] * (2 * len(row[0]) - 1)
     for x, y in zip(row, col):
-        if any(x) and any(y):
-            p = _poly_mul(x, y)
-            acc = p if acc is None else list(map(add, acc, p))
-    return [0] * len(row[0]) if acc is None else _reduce(order, acc)
+        _poly_mul(x, y, acc)
+    return _reduce(order, acc)
 
 
 def _lowest(den: int, *blocks: list) -> tuple[int, tuple]:
@@ -107,12 +104,11 @@ def _lowest(den: int, *blocks: list) -> tuple[int, tuple]:
 def _integral(elements, order: int) -> tuple[list, int]:
     """Integer coordinate lists of ``elements`` over their least common
     denominator, in the field of root order ``order`` (1 for Q)."""
-    d = cyclotomic_polynomial(order).degree
-    flat = []
-    for x in elements:
-        flat += x.coeffs if isinstance(x, CyclotomicNumber) else [x] + [0] * (d - 1)
-    nums, den = _over_common_denominator(flat)
-    return [nums[i : i + d] for i in range(0, len(nums), d)], den
+    pad = (0,) * (cyclotomic_polynomial(order).degree - 1)
+    stored = [(x.nums, x.den) if isinstance(x, CyclotomicNumber)
+              else ((x.numerator,) + pad, x.denominator) for x in elements]
+    den = math.lcm(*(q for _, q in stored))
+    return [[c * (den // q) for c in nums] for nums, q in stored], den
 
 
 @dataclass(frozen=True)
@@ -214,10 +210,8 @@ def _power_image(it: AffineFirstIterate, state: Sequence[Element], n: int) -> St
     if order is not None and pair.order != order:
         # a rational pair, lifted into the state's field
         pad = [0] * (cyclotomic_polynomial(order).degree - 1)
-        pair = _IntegralPair(
-            order, [[x + pad for x in row] for row in pair.matrix],
-            [x + pad for x in pair.offset], pair.den,
-        )
+        rows = [[x + pad for x in row] for row in pair.matrix]
+        pair = _IntegralPair(order, rows, [x + pad for x in pair.offset], pair.den)
     v, s = _integral(state, pair.order)
     while True:
         if n & 1:
@@ -228,7 +222,7 @@ def _power_image(it: AffineFirstIterate, state: Sequence[Element], n: int) -> St
         pair = pair.after(pair)
     if order is None:
         return tuple(Fraction(x[0], s) for x in v)
-    return tuple(CyclotomicNumber(order, tuple(Fraction(c, s) for c in x)) for x in v)
+    return tuple(_canonical(order, x, s) for x in v)
 
 
 def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:

@@ -2,19 +2,19 @@
 
 Rationals are stdlib :class:`fractions.Fraction` values (always in lowest
 terms, positive denominator).  Roots of unity live in the field obtained by
-adjoining a primitive n-th root ``z`` to the rationals; elements are stored
-as polynomial residues in ``z`` modulo the n-th cyclotomic polynomial, so
-equality is exact and order checks are honest equality tests rather than
-floating-point tolerances.
+adjoining a primitive n-th root ``z`` to the rationals.  An element is its
+residue modulo the n-th cyclotomic polynomial Phi_n, stored as phi(n) integer
+power-basis numerators over one positive denominator, with gcd 1 (H. Cohen,
+*A Course in Computational Algebraic Number Theory*, section 4.2).  A value
+has one stored form, so equality is exact and order checks are honest
+equality tests rather than floating-point tolerances.
 
-Arithmetic on residues runs in integers: a product puts each operand over
-the lcm of its denominators, multiplies the two integer polynomials, and
-folds the high powers back with cached integer rows ``z^i mod Phi_n`` (the
-modulus is monic and integral).  The result becomes lowest-terms
-``Fraction`` coefficients once, at the end.  No polynomial is ever divided:
-``Phi_n`` is the Moebius product of the ``(1 - x^d)^mu(n/d)``, and an
-inverse is the product of the other Galois conjugates over the norm, so
-every operation is integer multiplication followed by one reduction.
+Every operation is integer work ending in at most one gcd: sums cross-multiply
+the numerators, an int or Fraction operand scales or shifts them, and a product
+multiplies two integer polynomials and folds the high powers back with cached
+integer rows ``z^i mod Phi_n`` (Phi_n is monic and integral).  No polynomial is
+divided: ``Phi_n`` is the Moebius product of the ``(1 - x^d)^mu(n/d)``, and an
+inverse is the product of the other Galois conjugates over the norm.
 
 All values in one computation must share a single root order n; callers mix
 orders by embedding into a common multiple first (``z_a -> z_lcm^(lcm/a)``).
@@ -50,8 +50,9 @@ def fibonacci(n: int) -> int:
 # polynomials as ascending coefficient lists of integers: one product and one
 # reduction modulo the cyclotomic polynomial, and no division anywhere
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
+def _poly_mul(a, b, out: list[int] | None = None) -> list[int]:
+    """The product of two integer polynomials, added into ``out`` when given."""
+    out = [0] * (len(a) + len(b) - 1) if out is None else out
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -117,8 +118,8 @@ def cyclotomic_polynomial(n: int) -> CycloPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """z^i mod the order-th cyclotomic polynomial for d <= i < max(2d-1, order).
+def _reduction_rows(order: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """d and z^i mod the order-th cyclotomic polynomial for d <= i < max(2d-1, order).
 
     d is the polynomial's degree.  Row i - d lists the nonzero (power,
     coefficient) pairs of the residue; the polynomial is monic and integral,
@@ -135,58 +136,67 @@ def _reduction_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         row = [0] + row[:-1]
         if top:
             row = [c - top * p for c, p in zip(row, phi)]
-    return tuple(rows)
+    return d, tuple(rows)
 
 
 def _reduce(order: int, coeffs: list[int]) -> list[int]:
-    """The residue of an integer polynomial, as d integers."""
-    d = cyclotomic_polynomial(order).degree
-    out = list(coeffs[:d]) + [0] * (d - len(coeffs))
-    rows = _reduction_rows(order)
-    for i in range(d, len(coeffs)):
-        c = coeffs[i]
-        if c:
-            for j, r in rows[i - d]:
-                out[j] += c * r
-    return out
+    """The residue of a fresh integer polynomial, as d integers: the list is
+    folded in place and returned, unchanged when it has no power to fold."""
+    d, rows = _reduction_rows(order)
+    if len(coeffs) != d:
+        for i in range(d, len(coeffs)):
+            c = coeffs[i]
+            if c:
+                for j, r in rows[i - d]:
+                    coeffs[j] += c * r
+        del coeffs[d:]
+        coeffs += [0] * (d - len(coeffs))
+    return coeffs
 
 
-def _over_common_denominator(coeffs) -> tuple[list[int], int]:
-    """(nums, den) with coeffs[i] == nums[i] / den and den the lcm of the
-    denominators."""
-    dens = [c.denominator for c in coeffs]
-    den = lcm(*dens)
-    return [c.numerator * (den // q) for c, q in zip(coeffs, dens)], den
+def _canonical(order: int, nums, den: int) -> "CyclotomicNumber":
+    """The value ``nums / den`` (den > 0) with one gcd taken out."""
+    g = gcd(den, *nums)
+    return _make(order, tuple([c // g for c in nums] if g != 1 else nums), den // g)
 
 
-def _residue(order: int, nums: list[int], den: int = 1) -> tuple[Fraction, ...]:
-    """The canonical coefficients of ``nums / den``: reduced, in lowest terms."""
-    return tuple(Fraction(c, den) for c in _reduce(order, nums))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class CyclotomicNumber:
     """Element of the rationals extended by a primitive ``order``-th root of unity.
 
-    ``coeffs`` is the canonical residue: ascending powers of the root, length
-    equal to the degree of the reduction modulus, each a lowest-terms
-    ``Fraction``.  Products, powers of the root, embeddings and inverses are
-    computed over one common integer denominator and reduced by the cached
-    integer rows of :func:`_reduction_rows`.  Arithmetic between two
-    values requires equal orders; use :meth:`embed` to move into a larger
-    field first.  Ints and Fractions mix freely as constants.
+    An immutable ``sum(nums[i] * z**i) / den``: phi(order) integers ``nums`` over
+    a positive ``den`` with ``gcd(den, *nums) == 1``.  The constructor takes
+    phi(order) int or Fraction coordinates, which ``coeffs`` returns as
+    lowest-terms Fractions.  Two values must share their order (see :meth:`embed`);
+    ints and Fractions mix freely, and a rational value equals and hashes like
+    its Fraction.
     """
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    def __new__(cls, order: int, coeffs):
+        d = cyclotomic_polynomial(order).degree
+        if len(coeffs) != d:
+            raise ValueError(f"root order {order} takes {d} coordinates, got {len(coeffs)}")
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coordinate {c!r} is not an int or Fraction")
+        # over the lcm of lowest-terms denominators the gcd is already 1
+        den = lcm(*(c.denominator for c in coeffs))
+        return _make(order, tuple([c.numerator * (den // c.denominator) for c in coeffs]), den)
+
+    def __reduce__(self):
+        return _make, (self.order, self.nums, self.den)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
         q = Fraction(value)
-        deg = cyclotomic_polynomial(order).degree
-        return cls(order, (q,) + (Fraction(0),) * (deg - 1))
+        pad = (0,) * (cyclotomic_polynomial(order).degree - 1)
+        return _make(order, (q.numerator,) + pad, q.denominator)
 
     @classmethod
     def zero(cls, order: int) -> "CyclotomicNumber":
@@ -199,32 +209,25 @@ class CyclotomicNumber:
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CyclotomicNumber":
         """The primitive root raised to ``power`` (any integer)."""
-        power %= order
-        return cls(order, _residue(order, [0] * power + [1]))
+        return _make(order, tuple(_reduce(order, [0] * (power % order) + [1])), 1)
 
     # -- helpers ------------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, CyclotomicNumber):
-            if other.order != self.order:
-                raise ValueError(
-                    f"mixed root orders {self.order} and {other.order}; embed first"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.from_rational(other, self.order)
-        return None
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as lowest-terms Fractions, ascending powers."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def embed(self, order: int) -> "CyclotomicNumber":
         """Re-express this value in the field of a multiple root order."""
@@ -233,49 +236,55 @@ class CyclotomicNumber:
         if order == self.order:
             return self
         step = order // self.order
-        nums, den = _over_common_denominator(self.coeffs)
-        out = [0] * (len(nums) * step)
-        out[::step] = nums
-        return CyclotomicNumber(order, _residue(order, out, den))
+        out = [0] * (len(self.nums) * step)
+        out[::step] = self.nums
+        return _canonical(order, _reduce(order, out), self.den)
 
     # -- field operations ---------------------------------------------------
 
-    # an int or Fraction operand changes coefficient 0 alone
-    def __add__(self, other):
+    def _check_order(self, other: "CyclotomicNumber") -> None:
+        if other.order != self.order:
+            raise ValueError(f"mixed root orders {self.order} and {other.order}; embed first")
+
+    def _add(self, other, sign: int):
+        """self + sign * other; an integer shifts numerator 0 and needs no gcd."""
+        a, da = self.nums, self.den
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.order, (self.coeffs[0] + other,) + self.coeffs[1:])
-        other = self._coerce(other)
-        if other is None:
+            if other.denominator == 1:
+                return _make(self.order, (a[0] + sign * other.numerator * da,) + a[1:], da)
+            b, db = (other.numerator,) + (0,) * (len(a) - 1), other.denominator
+        elif isinstance(other, CyclotomicNumber):
+            self._check_order(other)
+            b, db = other.nums, other.den
+        else:
             return NotImplemented
-        return CyclotomicNumber(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if da == db:
+            return _canonical(self.order, [x + sign * y for x, y in zip(a, b)], da)
+        return _canonical(self.order, [x * db + sign * y * da for x, y in zip(a, b)], da * db)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CyclotomicNumber(self.order, tuple(-c for c in self.coeffs))
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.order, (self.coeffs[0] - other,) + self.coeffs[1:])
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicNumber(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return (-self)._add(other, 1)
+
+    def __neg__(self):
+        return _make(self.order, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, da = _over_common_denominator(self.coeffs)
-        b, db = _over_common_denominator(other.coeffs)
-        return CyclotomicNumber(self.order, _residue(self.order, _poly_mul(a, b), da * db))
+        if isinstance(other, CyclotomicNumber):
+            self._check_order(other)
+            prod = _reduce(self.order, _poly_mul(self.nums, other.nums))
+            return _canonical(self.order, prod, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            return _canonical(self.order, [c * p for c in self.nums], self.den * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -288,8 +297,7 @@ class CyclotomicNumber:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        n = self.order
-        nums, den = _over_common_denominator(self.coeffs)
+        n, nums = self.order, self.nums
         r = [1]
         for u in range(2, n):
             if gcd(u, n) == 1:
@@ -298,26 +306,22 @@ class CyclotomicNumber:
                     conj[i * u % n] = c
                 r = _reduce(n, _poly_mul(r, _reduce(n, conj)))
         norm = _reduce(n, _poly_mul(r, nums))[0]
-        return CyclotomicNumber(n, _residue(n, [c * den for c in r], norm))
+        den = self.den if norm > 0 else -self.den
+        return _canonical(n, [c * den for c in r], abs(norm))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return self * other.inverse() if isinstance(other, CyclotomicNumber) else NotImplemented
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         base = self if exponent >= 0 else self.inverse()
-        e = abs(exponent)
-        acc = CyclotomicNumber.one(self.order)
+        acc, e = CyclotomicNumber.one(self.order), abs(exponent)
         while e:
             if e & 1:
                 acc = acc * base
@@ -329,23 +333,21 @@ class CyclotomicNumber:
         """Equality of two values of the same order; mixed orders are an error."""
         if not isinstance(other, CyclotomicNumber):
             raise TypeError(f"expected CyclotomicNumber, got {type(other)!r}")
-        if other.order != self.order:
-            raise ValueError(
-                f"mixed root orders {self.order} and {other.order}; embed first"
-            )
-        return self.coeffs == other.coeffs
+        self._check_order(other)
+        return self == other
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order, self.den, self.nums) == (other.order, other.den, other.nums)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            q = other.numerator, other.denominator
+            return self.is_rational() and (self.nums[0], self.den) == q
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.order, self.nums, self.den))
 
     # -- rendering ----------------------------------------------------------
 
@@ -353,23 +355,13 @@ class CyclotomicNumber:
         """Canonical polynomial string in ``z``, e.g. ``-1/2*z + 3``;
         :func:`iterk.parser.parse_cyclo` reads it back given the order."""
         terms = []
-        for p in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[p]
-            if c == 0:
-                continue
-            if p == 0:
+        for p, c in reversed(list(enumerate(self.coeffs))):
+            base = "z" if p == 1 else f"z^{p}"
+            if c and p:
+                terms.append(base if c == 1 else f"-{base}" if c == -1 else f"{c}*{base}")
+            elif c:
                 terms.append(str(c))
-            else:
-                base = "z" if p == 1 else f"z^{p}"
-                if c == 1:
-                    terms.append(base)
-                elif c == -1:
-                    terms.append(f"-{base}")
-                else:
-                    terms.append(f"{c}*{base}")
-        if not terms:
-            return "0"
-        out = terms[0]
+        out = terms[0] if terms else "0"
         for t in terms[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
@@ -379,6 +371,20 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber({self.order}, {self.render()!r})"
+
+
+_set_order, _set_nums, _set_den = (
+    getattr(CyclotomicNumber, f).__set__ for f in CyclotomicNumber.__slots__
+)
+
+
+def _make(order: int, nums: tuple, den: int) -> CyclotomicNumber:
+    """A value from its stored form, which must already be canonical."""
+    x = object.__new__(CyclotomicNumber)
+    _set_order(x, order)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,7 @@ def assert_canonical(values, fld):
             coeffs = (v,)
         else:
             assert type(v) is CyclotomicNumber and v.order == fld.order
+            assert v.den > 0 and math.gcd(v.den, *v.nums) == 1
             coeffs = v.coeffs
             assert len(coeffs) == cyclotomic_polynomial(fld.order).degree
         for c in coeffs:

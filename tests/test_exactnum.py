@@ -1,6 +1,8 @@
 """Exact arithmetic: cyclotomic polynomials, field laws, Fibonacci numbers."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -158,6 +160,10 @@ def max_bits(x):
 
 
 def assert_canonical_form(x):
+    # the stored form: phi(N) integer numerators over one positive denominator, gcd 1
+    assert len(x.nums) == euler_phi(x.order)
+    assert all(type(c) is int for c in x.nums) and type(x.den) is int
+    assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
     assert len(x.coeffs) == euler_phi(x.order)
     for c in x.coeffs:
         assert type(c) is Fraction
@@ -234,6 +240,123 @@ class TestIntegerArithmeticMatchesFractionReference:
             inv = x.inverse()
             assert_canonical_form(inv)
             assert reference_product(x, inv) == 1
+
+
+def reference_mul(order, a, b):
+    return reference_residue(order, poly_mul(list(a), list(b)))
+
+
+def reference_pow(order, a, e):
+    acc = (Fraction(1),) + (Fraction(0),) * (euler_phi(order) - 1)
+    for _ in range(e):
+        acc = reference_mul(order, acc, a)
+    return acc
+
+
+def rational(order, q):
+    return (Fraction(q),) + (Fraction(0),) * (euler_phi(order) - 1)
+
+
+def assert_stored(x, coeffs):
+    """``x`` is canonical, holds the Fraction-coefficient reference, and a
+    rational value equals and hashes like its Fraction and int."""
+    assert_canonical_form(x)
+    assert x.coeffs == tuple(coeffs)
+    rebuilt = CyclotomicNumber(x.order, tuple(coeffs))
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+    assert (rebuilt.nums, rebuilt.den) == (x.nums, x.den)
+    if x.is_rational():
+        q = x.rational_value()
+        assert x == q and hash(x) == hash(q)
+        if q.denominator == 1:
+            assert x == int(q) and hash(x) == hash(int(q))
+    else:
+        assert x != x.coeffs[0]
+
+
+scalars = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**4),
+)
+
+
+@st.composite
+def stored_operands(draw):
+    """Two values of one order from :func:`operand_pairs`, an int or Fraction
+    scalar, an exponent and a multiple of the order to embed into."""
+    order = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 30, 64]))
+    pairs = operand_pairs(random.Random(draw(st.integers(0, 2**32))), order)
+    a, b = draw(st.sampled_from(pairs))
+    target = order * draw(st.integers(1, MAX_ROOT_ORDER // order))
+    return a, b, draw(scalars), draw(st.integers(-3, 3)), target
+
+
+class TestStoredFormMatchesFractionReference:
+    @settings(max_examples=60, deadline=None)
+    @given(stored_operands())
+    def test_operations(self, drawn):
+        a, b, s, e, target = drawn
+        n, ca, cb = a.order, a.coeffs, b.coeffs
+        head, tail = ca[0], ca[1:]
+        assert_stored(a + b, [x + y for x, y in zip(ca, cb)])
+        assert_stored(a - b, [x - y for x, y in zip(ca, cb)])
+        assert_stored(a * b, reference_mul(n, ca, cb))
+        for got, want in [
+            (a + s, (head + s, *tail)),
+            (s + a, (head + s, *tail)),
+            (a - s, (head - s, *tail)),
+            (s - a, (s - head, *(-x for x in tail))),
+            (-a, tuple(-x for x in ca)),
+            (a * s, tuple(x * s for x in ca)),
+            (s * a, tuple(x * s for x in ca)),
+        ]:
+            assert_stored(got, want)
+        if s:
+            assert_stored(a / s, tuple(x / s for x in ca))
+        if e >= 0:
+            assert_stored(a**e, reference_pow(n, ca, e))
+        one = rational(n, 1)
+        spread = [Fraction(0)] * (len(ca) * (target // n))
+        spread[:: target // n] = ca
+        assert_stored(a.embed(target), reference_residue(target, spread))
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            return
+        # an inverse in a field is unique, so a product check is complete
+        checks = [(a.inverse(), ca, one), (b / a, ca, cb), (s / a, ca, rational(n, s))]
+        if e < 0:
+            checks.append((a**e, reference_pow(n, ca, -e), one))
+        for got, times, want in checks:
+            assert_canonical_form(got)
+            assert reference_mul(n, got.coeffs, times) == want
+
+
+class TestStoredForm:
+    def test_constructor_takes_exactly_phi_coordinates(self):
+        # with fewer or more than phi(N) coordinates a value has no canonical
+        # form: (1,) at order 3 would not equal 1, six at order 5 would render z^5
+        for order, coords in [(3, (1,)), (5, (1, 0, 0, 0, 0, 1)), (1, ())]:
+            with pytest.raises(ValueError):
+                CyclotomicNumber(order, coords)
+
+    def test_constructor_stores_lowest_integer_form(self):
+        x = CyclotomicNumber(3, (Fraction(2, 4), 3))
+        assert (x.nums, x.den) == ((1, 6), 2)
+        assert CyclotomicNumber(3, (1, 0)) == CyclotomicNumber.from_rational(1, 3) == 1
+        c = CyclotomicNumber(5, (Fraction(-6, 9), 0, 2, 0))
+        assert (c.nums, c.den) == ((-2, 0, 6, 0), 3)
+        assert c == c * 1 and c.render() == "2*z^2 - 2/3"
+        with pytest.raises(TypeError):
+            CyclotomicNumber(3, (0.5, 0))
+
+    def test_values_are_immutable_and_copy(self):
+        x = CyclotomicNumber.zeta(7, 3) / 5
+        with pytest.raises(AttributeError):
+            x.den = 1
+        with pytest.raises(AttributeError):
+            del x.nums
+        assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
 
 
 class TestFieldLaws:
