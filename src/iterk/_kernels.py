@@ -1,11 +1,11 @@
 """Vectorised numpy kernels for exhaustive table analysis.
 
 Tables are int64 arrays of m**k entries in row-major order (last argument
-fastest), batched as ``[N, m**k]``.  The row-major index of k consecutive
-sequence terms is a state index and also the table index of the next term,
-so the order-k recurrence a_{n+k} = f(a_n, ..., a_{n+k-1}) acts on window
-indices as a shift register: :func:`_step` is its only index arithmetic, and
-the first iterate is k steps of it.
+fastest), batched as ``[N, m**k]``; :func:`digits` batches are column-major.
+The row-major index of k consecutive terms is a state index and the table
+index of the next term, so the recurrence a_{n+k} = f(a_n, ..., a_{n+k-1})
+acts on window indices as a shift register: :func:`_step` is its only
+index arithmetic, and the first iterate is k steps of it.
 """
 
 from __future__ import annotations
@@ -20,12 +20,19 @@ _CHUNK = 1 << 17
 
 
 def digits(start, stop, base, width):
-    """Rows of the base-``base`` digits of start..stop-1, most significant first."""
-    out = np.empty((stop - start, width), np.int64)
-    r = np.arange(start, stop, dtype=np.int64)
-    for pos in range(width - 1, -1, -1):
-        out[:, pos] = r % base
-        r //= base
+    """Rows of the base-``base`` digits of start..stop-1, most significant
+    first, column-major: the digit of place value p is constant on runs of p rows."""
+    out = np.zeros((stop - start, width), np.int64, order="F")
+    for i, col in enumerate(out.T[::-1]):
+        p = base**i
+        if p >= stop or start == stop:
+            break
+        first, last = start // p, (stop - 1) // p
+        vals = np.arange(first, last + 1) % base
+        # rows a..b-1 hold the whole runs, of which there are none if p > stop - start
+        a, b = (first + 1) * p - start, max(last * p - start, 0)
+        col[:a], col[b:] = vals[0], vals[-1]
+        col[a:b].reshape(-1, min(p, stop - start))[:] = vals[1:-1, None]
     return out
 
 
@@ -76,13 +83,17 @@ def table_perm(entries, m, k):
 
 
 def involution_scan(m):
-    """Count self-maps g on m points with g(g(x)) == x, by full enumeration."""
+    """Count self-maps g on m points with g(g(x)) == x by full enumeration and
+    the pairwise rule: g(x) == y iff g(y) == x, for every pair x < y."""
     total = m**m
     rows = max(1, _CHUNK // m)
     count = 0
     for start in range(0, total, rows):
         g = digits(start, min(start + rows, total), m, m)
-        count += int((induced_power(g, m, 1, 0, 2) == np.arange(m)).all(axis=(1, 2)).sum())
+        ok = np.ones(g.shape[0], bool)
+        for x, y in zip(*np.triu_indices(m, 1)):
+            ok &= (g[:, x] == y) == (g[:, y] == x)
+        count += int(np.count_nonzero(ok))
     return count
 
 

@@ -321,12 +321,11 @@ class CyclotomicNumber:
         if not isinstance(exponent, int):
             return NotImplemented
         base = self if exponent >= 0 else self.inverse()
-        acc, e = CyclotomicNumber.one(self.order), abs(exponent)
-        while e:
-            if e & 1:
+        acc = base if exponent else CyclotomicNumber.one(self.order)
+        for bit in bin(abs(exponent))[3:]:
+            acc = acc * acc
+            if bit == "1":
                 acc = acc * base
-            base = base * base
-            e >>= 1
         return acc
 
     def equals(self, other: "CyclotomicNumber") -> bool:

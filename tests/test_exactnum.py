@@ -359,6 +359,35 @@ class TestStoredForm:
         assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
 
 
+class TestPower:
+    def test_powers_match_repeated_products(self):
+        x = CyclotomicNumber.zeta(12) + 1
+        one = CyclotomicNumber.one(12)
+        assert x**0 == one and x**1 == x
+        assert x**5 == x * x * x * x * x
+        assert x**-3 == (x * x * x).inverse() == x.inverse() ** 3
+        assert CyclotomicNumber.zero(12) ** 0 == one
+
+    def test_square_and_multiply_takes_no_extra_product(self, monkeypatch):
+        mul = CyclotomicNumber.__mul__
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        x = CyclotomicNumber.zeta(12) + 1
+        want = x
+        for _ in range(6):
+            want = mul(want, want)
+        monkeypatch.setattr(CyclotomicNumber, "__mul__", counting)
+        assert x**64 == want
+        assert len(calls) == 6
+        calls.clear()
+        assert x**5 == mul(mul(mul(mul(x, x), x), x), x)
+        assert len(calls) == 3
+
+
 class TestFieldLaws:
     @settings(max_examples=80, deadline=None)
     @given(cyclo_triples())

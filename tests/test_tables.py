@@ -502,6 +502,15 @@ class TestInvolutionCounting:
             assert len(involutions(m)) == value
             assert count_involutions_brute(m) == value
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_scan_matches_direct_count(self, m):
+        g = np.array(list(itertools.product(range(m), repeat=m)), np.int64)
+        direct = (np.take_along_axis(g, g, axis=1) == np.arange(m)).all(axis=1).sum()
+        assert _kernels.involution_scan(m) == direct
+
+    def test_brute_force_at_eight(self):
+        assert count_involutions_brute(8) == 764
+
     def test_brute_budget(self):
         with pytest.raises(BudgetError):
             count_involutions_brute(12)
@@ -522,6 +531,54 @@ class TestInvolutionCounting:
         finally:
             sys.set_int_max_str_digits(limit)
         assert len(str(count_involutions(2000))) == 2886
+
+def reference_digits(start, stop, base, width):
+    # plain repeated division, one row at a time
+    rows = []
+    for r in range(start, stop):
+        row = []
+        for _ in range(width):
+            r, d = divmod(r, base)
+            row.append(d)
+        rows.append(row[::-1])
+    return np.array(rows, np.int64).reshape(stop - start, width)
+
+
+def assert_digits(start, stop, base, width):
+    got = _kernels.digits(start, stop, base, width)
+    assert got.dtype == np.int64 and got.flags.f_contiguous
+    assert np.array_equal(got, reference_digits(start, stop, base, width))
+
+
+class TestDigitKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 10**6), st.integers(0, 300))
+    def test_random_ranges(self, base, width, start, rows):
+        assert_digits(start, start + rows, base, width)
+
+    @pytest.mark.parametrize(
+        "start, stop, base, width",
+        [
+            (0, 1, 2, 3), (5, 6, 3, 4), (7, 8, 7, 7),  # one row
+            (0, 5, 1, 3), (3, 9, 1, 1),  # base 1
+            (0, 12, 10, 1), (123, 130, 2, 1),  # width 1
+            (95, 1005, 10, 4), (1, 70, 2, 7), (0, 3**7, 3, 7),  # several place values
+            (4, 4, 3, 2),  # no rows
+            (0, 5, 2, 70), (2**62, 2**62 + 3, 2, 70),  # top place values past int64
+        ],
+    )
+    def test_edge_cases(self, start, stop, base, width):
+        assert_digits(start, stop, base, width)
+
+    def test_chunk_edges(self):
+        # the batches of involution_scan (m digits) and cycle_sweep (m**k digits)
+        for m, width in [(6, 6), (7, 7), (8, 8), (3, 9), (2, 8), (2, 16)]:
+            total = m**width
+            starts = range(0, total, _kernels._CHUNK // width)
+            for start in [*starts[1:3], *starts[-2:]]:
+                assert_digits(max(start - 5, 0), min(start + 5, total), m, width)
+            assert_digits(starts[-1], total, m, width)
+
 
 class TestIterAllTables:
     @pytest.mark.parametrize("m, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
