@@ -36,10 +36,10 @@ from .exactnum import (
     Field,
     RationalField,
     _canonical,
+    _fibonacci_pair,
     _poly_mul,
     _reduce,
     cyclotomic_polynomial,
-    fibonacci,
 )
 
 
@@ -259,8 +259,7 @@ def _fib_triple(n: int) -> tuple[int, int, int]:
     # (F[2n-1], F[2n], F[2n+1]); at n = 0 use F[-1] = 1 so the identity drops out
     if n == 0:
         return 1, 0, 1
-    f = fibonacci(2 * n - 1)
-    g = fibonacci(2 * n)
+    f, g = _fibonacci_pair(2 * n - 1)
     return f, g, f + g
 
 

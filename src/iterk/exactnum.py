@@ -40,10 +40,17 @@ def fibonacci(n: int) -> int:
     """n-th Fibonacci number with F0 = 0 and F1 = 1."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
+    return _fibonacci_pair(n)[0]
+
+
+def _fibonacci_pair(n: int) -> tuple[int, int]:
+    # (F[n], F[n+1]) by fast doubling, from the top bit of n down
     a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b  # (F[2m], F[2m+1]) from (F[m], F[m+1])
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
+from math import gcd
 from typing import TYPE_CHECKING, Callable, Union
 
 import iterk
@@ -408,39 +409,72 @@ def render_def(d: MapDef) -> str:
 
 # --- evaluation and affine extraction --------------------------------------
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+def _q_sum(op, p, q):
+    # a/b op c/d with at most one gcd, of the denominators (Knuth, TAOCP 4.5.1)
+    (a, b), (c, d) = p, q
+    if b == d:
+        return op(a, c), b
+    g = gcd(b, d)
+    b //= g
+    return op(a * (d // g), c * b), b * d
+
+
+def _q_root(body, field):
+    def value(s):
+        for x in s:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"{x!r} is not an element of {field}")
+        return Fraction(*body([(x.numerator, x.denominator) for x in s]))
+    return value
+
+
+# per field: a folded literal's stored form, the root that feeds the state in
+# and reads the value out, and the operation of each operator node
+_ARITHMETIC = {
+    RationalField: (lambda q: (q.numerator, q.denominator), _q_root, {
+        Neg: lambda p: (-p[0], p[1]), Mul: lambda p, q: (p[0] * q[0], p[1] * q[1]),
+        Add: partial(_q_sum, operator.add), Sub: partial(_q_sum, operator.sub)}),
+    CyclotomicField: (lambda v: v, lambda body, field: body, {
+        Neg: operator.neg, Mul: operator.mul, Add: operator.add, Sub: operator.sub}),
+}
 
 
 def _compile(expr: MapExpr, field: Field, arity: int) -> Callable[[tuple], object]:
     """The tree as a function of the state tuple, its literals folded into
-    ``field`` once; variables past ``arity`` are a :class:`ParseError`."""
-    if isinstance(expr, Var):
-        if not 1 <= expr.index <= arity:
-            raise ParseError(
-                f"undeclared variable 'x{expr.index}' (declared arity {arity})", *expr.at
-            )
-        i = expr.index - 1
-        return lambda s: s[i]
-    if isinstance(expr, RationalLit):
-        value = field.coerce(expr.value)
-        return lambda s: value
-    if isinstance(expr, ZetaLit):
-        if isinstance(field, RationalField):
-            raise ParseError("root-of-unity literal in a rational context", *expr.at)
-        if field.order % expr.order:
-            raise ParseError(f"zeta({expr.order}) is not in {field}", *expr.at)
-        value = field.coerce(CyclotomicField(expr.order).zeta(expr.power))
-        return lambda s: value
-    if isinstance(expr, Group):
-        return _compile(expr.inner, field, arity)
-    if isinstance(expr, Neg):
-        operand = _compile(expr.operand, field, arity)
-        return lambda s: -operand(s)
-    if type(expr) in _BINARY:
-        op = _BINARY[type(expr)]
-        left, right = _compile(expr.left, field, arity), _compile(expr.right, field, arity)
-        return lambda s: op(left(s), right(s))
-    raise TypeError(f"not a map expression: {expr!r}")
+    ``field`` once; variables past ``arity`` are a :class:`ParseError`.
+    The closures run on the field's arithmetic table: over Q(zeta) the
+    elements' operators; over Q integer (numerator, denominator) pairs, d > 0,
+    and a root that takes only int and Fraction elements and builds one Fraction.
+    """
+    literal, root, ops = _ARITHMETIC[type(field)]
+
+    def walk(expr: MapExpr) -> Callable:
+        if isinstance(expr, Var):
+            if not 1 <= expr.index <= arity:
+                msg = f"undeclared variable 'x{expr.index}' (declared arity {arity})"
+                raise ParseError(msg, *expr.at)
+            return operator.itemgetter(expr.index - 1)
+        if isinstance(expr, RationalLit):
+            value = literal(field.coerce(expr.value))
+            return lambda s: value
+        if isinstance(expr, ZetaLit):
+            if isinstance(field, RationalField):
+                raise ParseError("root-of-unity literal in a rational context", *expr.at)
+            if field.order % expr.order:
+                raise ParseError(f"zeta({expr.order}) is not in {field}", *expr.at)
+            value = field.coerce(CyclotomicField(expr.order).zeta(expr.power))
+            return lambda s: value
+        if isinstance(expr, Group):
+            return walk(expr.inner)
+        if isinstance(expr, Neg):
+            op, operand = ops[Neg], walk(expr.operand)
+            return lambda s: op(operand(s))
+        if type(expr) in ops:
+            op, left, right = ops[type(expr)], walk(expr.left), walk(expr.right)
+            return lambda s: op(left(s), right(s))
+        raise TypeError(f"not a map expression: {expr!r}")
+
+    return root(walk(expr), field)
 
 
 def eval_scalar(expr: MapExpr, field: Field | None = None):

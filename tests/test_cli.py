@@ -43,6 +43,13 @@ class TestIterate:
         )
         assert code == 0 and out.strip() == "89 144"
 
+    def test_rational_definition_joins_a_cyclotomic_seed(self, capsys):
+        # the map is compiled over the join of its field and the seed's
+        code, out, _ = run_cli(
+            capsys, "iterate", "--def", "f(x1,x2)=x1+x2", "--seed", "zeta(3),1", "--n", "3"
+        )
+        assert code == 0 and out.strip() == "5*z + 8, 8*z + 13"
+
     def test_table(self, capsys, table_path):
         code, out, _ = run_cli(
             capsys, "iterate", "--table", table_path, "--seed", "0,1", "--n", "1"

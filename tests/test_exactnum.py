@@ -481,6 +481,12 @@ class TestFibonacci:
         with pytest.raises(ValueError):
             fibonacci(-1)
 
+    def test_fast_doubling_matches_the_plain_recurrence(self):
+        a, b = 0, 1
+        for n in range(301):
+            assert fibonacci(n) == a
+            a, b = b, a + b
+
     def test_index_addition_law(self):
         for m in range(1, 21):
             for n in range(0, 21):

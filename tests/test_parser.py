@@ -1,6 +1,9 @@
 """Definition grammar: parsing, rendering, affine extraction, fuzz safety."""
 
+import math
+import operator
 import random
+import re
 import string
 from fractions import Fraction
 
@@ -173,7 +176,7 @@ class TestScalars:
             eval_scalar(parse_seed("1, x1")[1])
 
 
-def random_def_text(rng: random.Random) -> str:
+def random_def_text(rng: random.Random, zeta: bool = True) -> str:
     arity = rng.randint(1, 4)
 
     def factor(depth):
@@ -183,7 +186,7 @@ def random_def_text(rng: random.Random) -> str:
                 num = rng.randint(0, 30)
                 return str(num) if rng.random() < 0.5 else f"{num}/{rng.randint(1, 9)}"
             return f"x{rng.randint(1, arity)}"
-        if roll < 0.45:
+        if zeta and roll < 0.45:
             order = rng.randint(1, 12)
             return f"zeta({order})" + (f"^{rng.randint(0, 5)}" if rng.random() < 0.5 else "")
         if roll < 0.6:
@@ -217,6 +220,56 @@ class TestRoundTrip:
     def test_render_examples(self):
         d = parse_map_def("f(x1,x2)=zeta(3)*x1+zeta(3)^2*x2")
         assert render_def(d) == "f(x1,x2) = zeta(3) * x1 + zeta(3)^2 * x2"
+
+
+def fraction_value(expr, state) -> Fraction:
+    """Reference semantics over Q: every node one ``Fraction`` operation."""
+    if isinstance(expr, Var):
+        return Fraction(state[expr.index - 1])
+    if isinstance(expr, RationalLit):
+        return expr.value
+    if isinstance(expr, Group):
+        return fraction_value(expr.inner, state)
+    if isinstance(expr, Neg):
+        return -fraction_value(expr.operand, state)
+    op = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[type(expr)]
+    return op(fraction_value(expr.left, state), fraction_value(expr.right, state))
+
+
+class TestRationalEvaluation:
+    BIG = 2**199 + 4099  # about 200 bits
+    STATES = (
+        0, 1, -7, BIG, -BIG,
+        Fraction(0), Fraction(5, 3), Fraction(-11, 4), Fraction(BIG, 3**125), Fraction(-1, BIG),
+    )
+
+    def test_compiled_maps_agree_with_a_fraction_walk(self):
+        rng = random.Random(2027)
+        texts = ["f(x1) = x1", "f(x1) = -x1", "f(x1,x2) = 7/3", "f(x1,x2,x3) = 0"]
+        texts += [random_def_text(rng, zeta=False) for _ in range(300)]
+        wrong = []
+        for text in texts:
+            d = parse_map_def(text)
+            f = to_kary_map(d)
+            for _ in range(6):
+                state = tuple(rng.choice(self.STATES) for _ in range(d.arity))
+                got, want = f.apply(state), fraction_value(d.expr, state)
+                lowest = math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+                if type(got) is not Fraction or got != want or not lowest:
+                    wrong.append(f"{text} at {state}: {got!r}, want {want!r}")
+        if wrong:  # not an assert, so the check also runs under python -O
+            pytest.fail("\n".join(wrong[:5]))
+
+    def test_int_states_come_back_as_fractions(self):
+        for text in ("f(x1) = x1", "f(x1) = 2*x1 - x1"):
+            got = to_kary_map(parse_map_def(text)).apply((3,))
+            assert type(got) is Fraction and got == 3
+
+    @pytest.mark.parametrize("value", [0.5, CyclotomicField(3).zeta(), CyclotomicField(4).one()])
+    def test_other_state_elements_are_a_type_error(self, value):
+        f = to_kary_map(parse_map_def("f(x1,x2) = 2*x1 + x2"))
+        with pytest.raises(TypeError, match=re.escape(f"{value!r} is not an element of Q")):
+            f.apply((Fraction(1), value))
 
 
 class TestFuzz:
