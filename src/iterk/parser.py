@@ -11,6 +11,9 @@ Grammar (whitespace-insensitive; ``*`` is required for products):
     var      := "x" int
     rational := int ["/" int]
 
+A sum or a product may have any number of operands and is one node; parentheses
+and minus signs nest at most 200 levels deep.
+
 Declared variables must be x1..xk in order.  The scalar field is inferred:
 rational unless ``zeta`` literals occur, in which case all values live in
 the field of the least common multiple of the root orders.  Every error is
@@ -80,21 +83,13 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "MapExpr"
-    right: "MapExpr"
+class Sum:
+    terms: tuple[tuple[str, "MapExpr"], ...]  # 2+ terms, each after its sign ("+" first)
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: "MapExpr"
-    right: "MapExpr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "MapExpr"
-    right: "MapExpr"
+class Product:
+    factors: tuple["MapExpr", ...]  # 2+ factors
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ class Group:
     inner: "MapExpr"
 
 
-MapExpr = Union[Var, RationalLit, ZetaLit, Neg, Add, Sub, Mul, Group]
+MapExpr = Union[Var, RationalLit, ZetaLit, Neg, Sum, Product, Group]
 
 
 @dataclass(frozen=True)
@@ -122,15 +117,15 @@ def field_of(*exprs: MapExpr) -> Field:
 
 
 def _zeta_orders(expr: MapExpr) -> set[int]:
-    if isinstance(expr, ZetaLit):
-        return {expr.order}
-    if isinstance(expr, Neg):
-        return _zeta_orders(expr.operand)
-    if isinstance(expr, Group):
-        return _zeta_orders(expr.inner)
-    if isinstance(expr, (Add, Sub, Mul)):
-        return _zeta_orders(expr.left) | _zeta_orders(expr.right)
-    return set()
+    # an operator node's fields, and the tuples among them, hold its operands
+    orders, todo = set(), [expr]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, ZetaLit):
+            orders.add(x.order)
+        elif isinstance(x, (Neg, Sum, Product, Group, tuple)):
+            todo += x if isinstance(x, tuple) else vars(x).values()
+    return orders
 
 
 # --- lexer -----------------------------------------------------------------
@@ -249,18 +244,16 @@ class _Parser:
         return MapDef(arity, body)
 
     def expr(self, arity: int) -> MapExpr:
-        node = self.term(arity)
+        terms = [("+", self.term(arity))]
         while self.current.kind in ("+", "-"):
-            op = self._advance()
-            rhs = self.term(arity)
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
-        return node
+            terms.append((self._advance().kind, self.term(arity)))
+        return Sum(tuple(terms)) if len(terms) > 1 else terms[0][1]
 
     def term(self, arity: int) -> MapExpr:
-        node = self.factor(arity)
+        factors = [self.factor(arity)]
         while self._accept("*"):
-            node = Mul(node, self.factor(arity))
-        return node
+            factors.append(self.factor(arity))
+        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self, arity: int) -> MapExpr:
         self.depth += 1
@@ -373,7 +366,7 @@ def parse_seed(text: str) -> list[MapExpr]:
 
 def render(expr: MapExpr) -> str:
     """Canonical text form; reparsing it reproduces the same tree for any
-    tree the parser itself produced."""
+    tree the parser itself produced, where every parenthesis is a Group."""
     if isinstance(expr, Var):
         return f"x{expr.index}"
     if isinstance(expr, RationalLit):
@@ -383,23 +376,22 @@ def render(expr: MapExpr) -> str:
         base = f"zeta({expr.order})"
         return base if expr.power == 1 else f"{base}^{expr.power}"
     if isinstance(expr, Neg):
-        return f"-{_render_wrapped(expr.operand, atom=True)}"
-    if isinstance(expr, Add):
-        return f"{render(expr.left)} + {_render_wrapped(expr.right)}"
-    if isinstance(expr, Sub):
-        return f"{render(expr.left)} - {_render_wrapped(expr.right)}"
-    if isinstance(expr, Mul):
-        return f"{_render_wrapped(expr.left)} * {_render_wrapped(expr.right, atom=True)}"
+        return f"-{render(expr.operand)}"
     if isinstance(expr, Group):
         return f"({render(expr.inner)})"
+    parts = []
+    for op, operand in _chain(expr):  # a comprehension would add a frame per level
+        parts += (op, render(operand))
+    return " ".join(parts[1:])
+
+
+def _chain(expr: MapExpr) -> tuple:
+    # a Sum's or Product's operands, each after its operator
+    if isinstance(expr, Sum):
+        return expr.terms
+    if isinstance(expr, Product):
+        return tuple(("*", factor) for factor in expr.factors)
     raise TypeError(f"not a map expression: {expr!r}")
-
-
-def _render_wrapped(expr: MapExpr, atom: bool = False) -> str:
-    # parenthesize when the node would not reparse in this position
-    needs = isinstance(expr, (Add, Sub)) or (atom and isinstance(expr, Mul))
-    text = render(expr)
-    return f"({text})" if needs else text
 
 
 def render_def(d: MapDef) -> str:
@@ -428,27 +420,55 @@ def _q_root(body, field):
     return value
 
 
-# per field: a folded literal's stored form, the root that feeds the state in
-# and reads the value out, and the operation of each operator node
-_ARITHMETIC = {
-    RationalField: (lambda q: (q.numerator, q.denominator), _q_root, {
-        Neg: lambda p: (-p[0], p[1]), Mul: lambda p, q: (p[0] * q[0], p[1] * q[1]),
-        Add: partial(_q_sum, operator.add), Sub: partial(_q_sum, operator.sub)}),
-    CyclotomicField: (lambda v: v, lambda body, field: body, {
-        Neg: operator.neg, Mul: operator.mul, Add: operator.add, Sub: operator.sub}),
-}
+def _form_sum(op, p, q):
+    # affine forms ({index: nonzero coefficient}, constant) added or subtracted
+    coeffs = dict(p[0])
+    for i, c in q[0].items():
+        coeffs[i] = op(coeffs.get(i, 0), c)
+        if coeffs[i] == 0:
+            del coeffs[i]
+    return coeffs, op(p[1], q[1])
 
 
-def _compile(expr: MapExpr, field: Field, arity: int) -> Callable[[tuple], object]:
+def _form_mul(p, q):
+    if p[0] and q[0]:
+        msg = "definition is not affine: product of two variable-bearing expressions"
+        raise NonAffineError(msg)
+    (coeffs, a), (_, b) = (p, q) if p[0] else (q, p)
+    return ({i: c * b for i, c in coeffs.items()} if b != 0 else {}), a * b
+
+
+def _identity_root(body, field):
+    return body
+
+
+# per value domain: a folded literal's stored form, the root that feeds the
+# state in and reads the value out, and the operations; "neg" is unary minus
+_Q_PAIRS = (lambda q: (q.numerator, q.denominator), _q_root, {
+    "neg": lambda p: (-p[0], p[1]), "*": lambda p, q: (p[0] * q[0], p[1] * q[1]),
+    "+": partial(_q_sum, operator.add), "-": partial(_q_sum, operator.sub)})
+_ELEMENTS = (lambda v: v, _identity_root, {
+    "neg": operator.neg, "*": operator.mul, "+": operator.add, "-": operator.sub})
+_FORMS = (lambda v: ({}, v), _identity_root, {
+    "neg": lambda p: ({i: -c for i, c in p[0].items()}, -p[1]), "*": _form_mul,
+    "+": partial(_form_sum, operator.add), "-": partial(_form_sum, operator.sub)})
+_ARITHMETIC = {RationalField: _Q_PAIRS, CyclotomicField: _ELEMENTS}
+
+
+def _compile(expr: MapExpr, field: Field, arity: int, table=None) -> Callable[[tuple], object]:
     """The tree as a function of the state tuple, its literals folded into
     ``field`` once; variables past ``arity`` are a :class:`ParseError`.
-    The closures run on the field's arithmetic table: over Q(zeta) the
-    elements' operators; over Q integer (numerator, denominator) pairs, d > 0,
-    and a root that takes only int and Fraction elements and builds one Fraction.
+    The closures run on an arithmetic table, by default the field's: over
+    Q(zeta) the elements' operators; over Q integer (numerator, denominator)
+    pairs, d > 0, and a root that takes only int and Fraction elements and
+    builds one Fraction.  :func:`to_affine` passes the table of affine forms.
     """
-    literal, root, ops = _ARITHMETIC[type(field)]
+    literal, root, ops = table or _ARITHMETIC[type(field)]
+    neg = ops["neg"]
 
     def walk(expr: MapExpr) -> Callable:
+        while isinstance(expr, Group):
+            expr = expr.inner
         if isinstance(expr, Var):
             if not 1 <= expr.index <= arity:
                 msg = f"undeclared variable 'x{expr.index}' (declared arity {arity})"
@@ -462,17 +482,22 @@ def _compile(expr: MapExpr, field: Field, arity: int) -> Callable[[tuple], objec
                 raise ParseError("root-of-unity literal in a rational context", *expr.at)
             if field.order % expr.order:
                 raise ParseError(f"zeta({expr.order}) is not in {field}", *expr.at)
-            value = field.coerce(CyclotomicField(expr.order).zeta(expr.power))
+            value = literal(field.coerce(CyclotomicField(expr.order).zeta(expr.power)))
             return lambda s: value
-        if isinstance(expr, Group):
-            return walk(expr.inner)
         if isinstance(expr, Neg):
-            op, operand = ops[Neg], walk(expr.operand)
-            return lambda s: op(operand(s))
-        if type(expr) in ops:
-            op, left, right = ops[type(expr)], walk(expr.left), walk(expr.right)
-            return lambda s: op(left(s), right(s))
-        raise TypeError(f"not a map expression: {expr!r}")
+            operand = walk(expr.operand)
+            return lambda s: neg(operand(s))
+        chain = _chain(expr)
+        first, rest = walk(chain[0][1]), []
+        for op, operand in chain[1:]:  # a comprehension would add a frame per level
+            rest.append((ops[op], walk(operand)))
+
+        def fold(s):
+            acc = first(s)
+            for op, f in rest:
+                acc = op(acc, f(s))
+            return acc
+        return fold
 
     return root(walk(expr), field)
 
@@ -489,40 +514,15 @@ def to_kary_map(d: MapDef, field: Field | None = None) -> KaryMap:
 
 
 def to_affine(d: MapDef, field: Field | None = None) -> AffineMapSpec:
-    """Extract exact affine form; reject anything of higher degree."""
+    """Extract exact affine form; reject anything of higher degree.
+
+    The body runs once on degree-one forms: variable i is ({i: 1}, 0), and
+    a product of two forms that both read a variable is a NonAffineError.
+    """
     fld = d.field() if field is None else field
     zero = fld.zero()
-
-    def walk(expr: MapExpr) -> tuple[list, object]:
-        if isinstance(expr, Var):
-            coeffs = [zero] * d.arity
-            coeffs[expr.index - 1] = fld.one()
-            return coeffs, zero
-        if isinstance(expr, Neg):
-            c, a = walk(expr.operand)
-            return [-v for v in c], -a
-        if isinstance(expr, Group):
-            return walk(expr.inner)
-        if isinstance(expr, (Add, Sub)):
-            cl, al = walk(expr.left)
-            cr, ar = walk(expr.right)
-            if isinstance(expr, Sub):
-                cr, ar = [-v for v in cr], -ar
-            return [x + y for x, y in zip(cl, cr)], al + ar
-        if isinstance(expr, Mul):
-            cl, al = walk(expr.left)
-            cr, ar = walk(expr.right)
-            lvars = any(v != zero for v in cl)
-            rvars = any(v != zero for v in cr)
-            if lvars and rvars:
-                raise NonAffineError(
-                    "definition is not affine: product of two"
-                    " variable-bearing expressions"
-                )
-            if lvars:
-                return [v * ar for v in cl], al * ar
-            return [al * v for v in cr], al * ar
-        return [zero] * d.arity, eval_scalar(expr, fld)
-
-    coeffs, const = walk(d.expr)
-    return iterk.affine.AffineMapSpec(d.arity, tuple(coeffs), const, fld)
+    units = tuple(({i: fld.one()}, zero) for i in range(d.arity))
+    coeffs, const = _compile(d.expr, fld, d.arity, _FORMS)(units)
+    return iterk.affine.AffineMapSpec(
+        d.arity, tuple(coeffs.get(i, zero) for i in range(d.arity)), const, fld
+    )

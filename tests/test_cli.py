@@ -50,6 +50,16 @@ class TestIterate:
         )
         assert code == 0 and out.strip() == "5*z + 8, 8*z + 13"
 
+    def test_long_definition(self, capsys):
+        # 5000*x1 + 5000*x2 written as 10,000 terms, no deeper than two
+        body = " + ".join(["x1", "x2"] * 5000)
+        code, out, err = run_cli(
+            capsys, "iterate", "--def", f"f(x1,x2) = {body}", "--seed", "1,1", "--n", "1"
+        )
+        assert (code, out.strip(), err) == (0, "10000 50005000", "")
+        code, out, err = run_cli(capsys, "order", "--def", f"f(x1,x2) = {body}")
+        assert (code, out.strip(), err) == (0, "none", "")
+
     def test_table(self, capsys, table_path):
         code, out, _ = run_cli(
             capsys, "iterate", "--table", table_path, "--seed", "0,1", "--n", "1"

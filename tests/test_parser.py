@@ -13,13 +13,12 @@ import iterk
 from iterk.errors import NonAffineError, ParseError
 from iterk.exactnum import CyclotomicField, RationalField
 from iterk.parser import (
-    Add,
     Group,
     MapDef,
-    Mul,
     Neg,
+    Product,
     RationalLit,
-    Sub,
+    Sum,
     Var,
     eval_scalar,
     parse_map_def,
@@ -36,7 +35,7 @@ class TestParseMapDef:
     def test_pair_sum(self):
         d = parse_map_def("f(x1,x2) = x1 + x2")
         assert d.arity == 2
-        assert d.expr == Add(Var(1), Var(2))
+        assert d.expr == Sum((("+", Var(1)), ("+", Var(2))))
         assert d.field() == RationalField()
 
     def test_sum_map_with_constant(self):
@@ -63,17 +62,20 @@ class TestParseMapDef:
 
     def test_precedence_and_associativity(self):
         d = parse_map_def("f(x1,x2) = x1 - x2 - 1 + 2*x1*3")
-        assert d.expr == Add(
-            Sub(Sub(Var(1), Var(2)), RationalLit(Fraction(1))),
-            Mul(Mul(RationalLit(Fraction(2)), Var(1)), RationalLit(Fraction(3))),
-        )
+        assert d.expr == Sum((
+            ("+", Var(1)),
+            ("-", Var(2)),
+            ("-", RationalLit(Fraction(1))),
+            ("+", Product((RationalLit(Fraction(2)), Var(1), RationalLit(Fraction(3))))),
+        ))
         spec = to_affine(d)
         assert spec.coefficients == (7, -1)
         assert spec.constant == -1
 
     def test_groups_and_negation(self):
         d = parse_map_def("f(x1) = -(x1 + 1) * 2")
-        assert d.expr == Mul(Neg(Group(Add(Var(1), RationalLit(Fraction(1))))), RationalLit(Fraction(2)))
+        inner = Sum((("+", Var(1)), ("+", RationalLit(Fraction(1)))))
+        assert d.expr == Product((Neg(Group(inner)), RationalLit(Fraction(2))))
         spec = to_affine(d)
         assert spec.coefficients == (-2,) and spec.constant == -2
 
@@ -130,7 +132,7 @@ class TestParseErrors:
         a = parse_map_def("f(x1) = zeta(3)*x1").expr
         b = parse_map_def("f(x1) =   zeta(3) * x1").expr
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert a.left.at != b.left.at
+        assert a.factors[0].at != b.factors[0].at
 
     def test_deep_nesting_is_an_error_not_a_crash(self):
         text = "f(x1) = " + "(" * 400 + "x1" + ")" * 400
@@ -148,6 +150,80 @@ class TestNonAffine:
     def test_engine_map_still_evaluates(self):
         f = to_kary_map(parse_map_def("f(x1,x2) = x1*x2 + 1"))
         assert f.apply((Fraction(3), Fraction(4))) == 13
+
+    @pytest.mark.parametrize("d", [MapDef(2, Var(0)), MapDef(1, Var(2))], ids=["x0", "x2"])
+    def test_out_of_range_variables_are_parse_errors(self, d):
+        want = rf"^1:1: undeclared variable 'x{d.expr.index}' \(declared arity {d.arity}\)$"
+        for convert in (to_kary_map, to_affine):
+            with pytest.raises(ParseError, match=want):
+                convert(d)
+
+
+def random_state(rng: random.Random, field, arity: int) -> tuple:
+    def element():
+        value = field.coerce(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        if isinstance(field, CyclotomicField):
+            value = value + rng.randint(-3, 3) * field.zeta(rng.randrange(field.order))
+        return value
+    return tuple(element() for _ in range(arity))
+
+
+class TestAffineForms:
+    def test_affine_specs_agree_with_compiled_maps(self):
+        # orders up to 6 keep every joined field within MAX_ROOT_ORDER
+        rng = random.Random(2031)
+        texts = [random_def_text(rng, zeta=False) for _ in range(150)]
+        texts += [random_def_text(rng, max_order=6) for _ in range(150)]
+        accepted, wrong = {"Q": 0, "Q(zeta)": 0}, []
+        for text in texts:
+            d = parse_map_def(text)
+            try:
+                spec = to_affine(d)
+            except NonAffineError:
+                continue
+            fld = d.field()
+            accepted["Q" if isinstance(fld, RationalField) else "Q(zeta)"] += 1
+            f, g = to_kary_map(d), spec.as_kary_map()
+            for _ in range(4):
+                state = random_state(rng, fld, d.arity)
+                if f.apply(state) != g.apply(state):
+                    wrong.append(f"{text} at {state}: {g.apply(state)!r}, want {f.apply(state)!r}")
+        # not an assert, so the check also runs under python -O
+        if wrong or min(accepted.values()) < 10:
+            pytest.fail(f"accepted {accepted}\n" + "\n".join(wrong[:5]))
+
+    def test_cancelled_variables_stay_affine(self):
+        spec = to_affine(parse_map_def("f(x1,x2) = (x1 - x1)*x2 + 3"))
+        assert spec.coefficients == (0, 0) and spec.constant == 3
+
+
+class TestLongAndDeepBodies:
+    SUM = "f(x1,x2) = " + " + ".join(["x1", "x2"] * 5000)
+    DEEP = "f(x1) = " + "(x1 + 2 * " * 199 + "x1" + ")" * 199
+
+    @pytest.mark.parametrize("text", [
+        SUM, "f(x1) = " + "-" * 190 + "(" + " - ".join(["x1"] * 950) + ")",
+    ], ids=["10000-terms", "950-terms-under-190-minus"])
+    def test_long_chains_run_through_every_walk(self, text):
+        d = parse_map_def(text)
+        assert render_def(d) == text
+        state = (Fraction(1),) * d.arity
+        spec = to_affine(d)
+        assert spec.as_kary_map().apply(state) == to_kary_map(d).apply(state)
+        assert d.field() == RationalField()
+
+    def test_nesting_at_the_limit_runs_through_every_walk(self):
+        # x1 + 2*(x1 + 2*(...)) with 199 levels is (2**200 - 1)*x1
+        d = parse_map_def(self.DEEP)
+        assert render_def(d) == self.DEEP and d.field() == RationalField()
+        assert to_kary_map(d).apply((1,)) == 2**200 - 1
+        spec = to_affine(d)
+        assert spec.coefficients == (2**200 - 1,) and spec.constant == 0
+
+    def test_one_level_deeper_is_a_parse_error(self):
+        text = "f(x1) = " + "(x1 + 2 * " * 200 + "x1" + ")" * 200
+        with pytest.raises(ParseError, match="expression nested too deeply$"):
+            parse_map_def(text)
 
 
 class TestScalars:
@@ -176,7 +252,7 @@ class TestScalars:
             eval_scalar(parse_seed("1, x1")[1])
 
 
-def random_def_text(rng: random.Random, zeta: bool = True) -> str:
+def random_def_text(rng: random.Random, zeta: bool = True, max_order: int = 12) -> str:
     arity = rng.randint(1, 4)
 
     def factor(depth):
@@ -187,7 +263,7 @@ def random_def_text(rng: random.Random, zeta: bool = True) -> str:
                 return str(num) if rng.random() < 0.5 else f"{num}/{rng.randint(1, 9)}"
             return f"x{rng.randint(1, arity)}"
         if zeta and roll < 0.45:
-            order = rng.randint(1, 12)
+            order = rng.randint(1, max_order)
             return f"zeta({order})" + (f"^{rng.randint(0, 5)}" if rng.random() < 0.5 else "")
         if roll < 0.6:
             return f"-{factor(depth + 1)}"
@@ -232,8 +308,12 @@ def fraction_value(expr, state) -> Fraction:
         return fraction_value(expr.inner, state)
     if isinstance(expr, Neg):
         return -fraction_value(expr.operand, state)
-    op = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[type(expr)]
-    return op(fraction_value(expr.left, state), fraction_value(expr.right, state))
+    if isinstance(expr, Product):
+        return math.prod(fraction_value(f, state) for f in expr.factors)
+    total = Fraction(0)
+    for sign, term in expr.terms:
+        total = {"+": operator.add, "-": operator.sub}[sign](total, fraction_value(term, state))
+    return total
 
 
 class TestRationalEvaluation:
