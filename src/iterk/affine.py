@@ -39,13 +39,12 @@ from .exactnum import (
     _fibonacci_pair,
     _poly_mul,
     _reduce,
-    cyclotomic_polynomial,
 )
 
 
 @dataclass(frozen=True)
 class AffineMapSpec:
-    """Coefficients a_1..a_k and constant A of an affine map, over ``field``."""
+    """Coefficients a_1..a_k and constant A of an affine map, coerced into ``field``."""
 
     arity: int
     coefficients: tuple
@@ -59,11 +58,12 @@ class AffineMapSpec:
             raise ValueError(
                 f"expected {self.arity} coefficients, got {len(self.coefficients)}"
             )
+        object.__setattr__(self, "coefficients", tuple(map(self.field.coerce, self.coefficients)))
+        object.__setattr__(self, "constant", self.field.coerce(self.constant))
 
     @classmethod
     def rational(cls, coefficients, constant=0) -> "AffineMapSpec":
-        coeffs = tuple(Fraction(c) for c in coefficients)
-        return cls(len(coeffs), coeffs, Fraction(constant), RationalField())
+        return cls(len(c := tuple(coefficients)), c, constant, RationalField())
 
     def as_kary_map(self) -> KaryMap:
         coeffs, const = self.coefficients, self.constant
@@ -101,12 +101,11 @@ def _lowest(den: int, *blocks: list) -> tuple[int, tuple]:
     return den // g, tuple([[c // g for c in x] for x in block] for block in blocks)
 
 
-def _integral(elements, order: int) -> tuple[list, int]:
-    """Integer coordinate lists of ``elements`` over their least common
-    denominator, in the field of root order ``order`` (1 for Q)."""
-    pad = (0,) * (cyclotomic_polynomial(order).degree - 1)
+def _integral(elements) -> tuple[list, int]:
+    """Integer coordinate lists of field elements over their least common
+    denominator; a Fraction has the one coordinate of Q."""
     stored = [(x.nums, x.den) if isinstance(x, CyclotomicNumber)
-              else ((x.numerator,) + pad, x.denominator) for x in elements]
+              else ((x.numerator,), x.denominator) for x in elements]
     den = math.lcm(*(q for _, q in stored))
     return [[c * (den // q) for c in nums] for nums, q in stored], den
 
@@ -143,8 +142,8 @@ class _IntegralPair:
 class AffineFirstIterate:
     """The first iterate of an affine map: state -> matrix @ state + offset.
 
-    ``matrix`` and ``offset`` hold field elements; the integral pair that
-    the powers run on is lifted from them once, here.
+    ``matrix`` and ``offset`` hold elements of ``field``, coerced on entry;
+    the integral pair that the powers run on is lifted from them once, here.
     """
 
     matrix: tuple
@@ -154,9 +153,10 @@ class AffineFirstIterate:
 
     def __post_init__(self):
         order = self.field.order if isinstance(self.field, CyclotomicField) else 1
-        k = len(self.offset)
-        entries = [x for row in self.matrix for x in row] + list(self.offset)
-        coords, den = _integral(map(self.field.coerce, entries), order)
+        k, coerce = len(self.offset), self.field.coerce
+        object.__setattr__(self, "matrix", tuple(tuple(map(coerce, row)) for row in self.matrix))
+        object.__setattr__(self, "offset", tuple(map(coerce, self.offset)))
+        coords, den = _integral([x for row in self.matrix for x in row] + list(self.offset))
         rows = [coords[i * k : (i + 1) * k] for i in range(k)]
         object.__setattr__(self, "_pair", _IntegralPair(order, rows, coords[k * k :], den))
 
@@ -165,8 +165,6 @@ class AffineFirstIterate:
         return len(self.offset)
 
     def apply(self, state: Sequence[Element]) -> State:
-        if len(state) != self.arity:
-            raise ArityError(f"state length {len(state)} != arity {self.arity}")
         return _power_image(self, state, 1)
 
 
@@ -185,34 +183,14 @@ def build_first_iterate(spec: AffineMapSpec) -> AffineFirstIterate:
     return AffineFirstIterate(matrix, offset, spec.field)
 
 
-def _state_order(it: AffineFirstIterate, state: Sequence[Element]) -> int | None:
-    """Root order of the field the pair acts in on ``state``, None for Q: a
-    rational pair takes the state's field, a cyclotomic one keeps its own."""
-    orders = set()
-    for x in state:
-        if isinstance(x, CyclotomicNumber):
-            orders.add(x.order)
-        elif not isinstance(x, (int, Fraction)):
-            raise TypeError(f"state element {x!r} is not an int, Fraction or CyclotomicNumber")
-    if isinstance(it.field, CyclotomicField):
-        orders.add(it.field.order)
-    if len(orders) > 1:
-        a, b = sorted(orders)[:2]
-        raise ValueError(f"mixed root orders {a} and {b}; embed first")
-    return orders.pop() if orders else None
-
-
 def _power_image(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
-    """The n-th iterate of ``state`` for n >= 1: bit j of n applies the
-    2**j-th power of the pair, and the next power is its square."""
-    order = _state_order(it, state)
+    """The n-th iterate of ``state``, taken in through ``it.field.coerce``:
+    bit j of n applies the 2**j-th power of the pair, and the next power is
+    its square."""
+    if len(state) != it.arity:
+        raise ArityError(f"state length {len(state)} != arity {it.arity}")
     pair = it._pair
-    if order is not None and pair.order != order:
-        # a rational pair, lifted into the state's field
-        pad = [0] * (cyclotomic_polynomial(order).degree - 1)
-        rows = [[x + pad for x in row] for row in pair.matrix]
-        pair = _IntegralPair(order, rows, [x + pad for x in pair.offset], pair.den)
-    v, s = _integral(state, pair.order)
+    v, s = _integral(map(it.field.coerce, state))
     while True:
         if n & 1:
             s, (v,) = _lowest(pair.den * s, pair.image(v, s))
@@ -220,19 +198,20 @@ def _power_image(it: AffineFirstIterate, state: Sequence[Element], n: int) -> St
         if not n:
             break
         pair = pair.after(pair)
-    if order is None:
+    if isinstance(it.field, RationalField):
         return tuple(Fraction(x[0], s) for x in v)
-    return tuple(_canonical(order, x, s) for x in v)
+    return tuple(_canonical(pair.order, x, s) for x in v)
 
 
 def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
     """n-th iterate by square-and-multiply on the integral (matrix, offset)
-    pair.  At n = 0 the state comes back with its own element types."""
-    if len(state) != it.arity:
-        raise ArityError(f"state length {len(state)} != arity {it.arity}")
+    pair.  The state enters through ``it.field.coerce``, so an element the
+    field does not hold is an error (a float or str is a TypeError) and the
+    result is in the pair's field; at n = 0 the state's own objects come back."""
     if n < 0:
         raise ValueError(f"iterate count must be >= 0, got {n}")
-    return _power_image(it, state, n) if n else tuple(state)
+    image = _power_image(it, state, n)  # at n = 0: the state, admitted and coerced
+    return image if n else tuple(state)
 
 
 def affine_involutory_order(it: AffineFirstIterate, bound: int) -> int | None:

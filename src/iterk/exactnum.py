@@ -201,7 +201,9 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
-        q = Fraction(value)
+        """An int, Fraction or rational CyclotomicNumber as a value of root
+        order ``order``; any other type (float, str, ...) is a TypeError."""
+        q = _rational(value)
         pad = (0,) * (cyclotomic_polynomial(order).degree - 1)
         return _make(order, (q.numerator,) + pad, q.denominator)
 
@@ -384,6 +386,15 @@ _set_order, _set_nums, _set_den = (
 )
 
 
+def _rational(value) -> Fraction:
+    """The one admission rule for rationals: float, str, Decimal, ... are a TypeError."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, CyclotomicNumber):
+        return value.rational_value()
+    raise TypeError(f"{value!r} is not an int, Fraction or CyclotomicNumber")
+
+
 def _make(order: int, nums: tuple, den: int) -> CyclotomicNumber:
     """A value from its stored form, which must already be canonical."""
     x = object.__new__(CyclotomicNumber)
@@ -405,9 +416,8 @@ class RationalField:
         return Fraction(1)
 
     def coerce(self, value):
-        if isinstance(value, CyclotomicNumber):
-            return value.rational_value()
-        return Fraction(value)
+        """An int, Fraction or rational CyclotomicNumber as a Fraction; else a TypeError."""
+        return _rational(value)
 
     def __str__(self):
         return "Q"
@@ -427,6 +437,7 @@ class CyclotomicField:
         return CyclotomicNumber.zeta(self.order, power)
 
     def coerce(self, value):
+        """Embeds a CyclotomicNumber; other values take the rule of ``from_rational``."""
         if isinstance(value, CyclotomicNumber):
             return value.embed(self.order)
         return CyclotomicNumber.from_rational(value, self.order)

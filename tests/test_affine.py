@@ -3,6 +3,7 @@ floating-point conjugacy demo."""
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -85,18 +86,23 @@ class TestAffineIterate:
 class TestMixedFields:
     """States whose elements lie outside the map's own field."""
 
-    def test_rational_map_on_a_zeta3_state_gives_zeta3_values(self):
-        # the rational pair is lifted into Q(zeta3), the join of the two fields
+    def test_rational_map_on_a_zeta3_state_raises_value_error(self):
+        # the state enters through Q's coerce, and zeta3 is not rational
         z = CyclotomicField(3).zeta()
         it = build_first_iterate(AffineMapSpec.rational((2,), 1))
-        assert affine_iterate(it, (z,), 2) == (4 * z + 3,)
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError):
+                affine_iterate(it, (z,), n)
+        with pytest.raises(ValueError):
+            it.apply((z,))
+        # a rational value of Q(zeta3) is admitted, and the result is in Q
         spec = AffineMapSpec.rational((Fraction(-1, 2), 3), Fraction(2, 7))
         it, f = build_first_iterate(spec), spec.as_kary_map()
-        state = (Fraction(1, 2), z + Fraction(1, 3))
+        state = (Fraction(1, 2), z + z * z + Fraction(4, 3))
         for n in (1, 2, 5, 8):
             got = affine_iterate(it, state, n)
-            assert got == iterate(f, state, n)
-            assert all(type(v) is CyclotomicNumber and v.order == 3 for v in got)
+            assert got == iterate(f, (Fraction(1, 2), Fraction(1, 3)), n)
+            assert all(type(v) is Fraction for v in got)
 
     def test_zeta3_map_on_int_and_fraction_states(self):
         spec = roots_map_spec()
@@ -124,23 +130,28 @@ class TestMixedFields:
             affine_iterate(it, (0.5, 1), 1)
 
     def test_zero_iterate_returns_each_element_as_given(self):
-        z4 = CyclotomicField(4).zeta()
+        z3, z4 = CyclotomicField(3).zeta(), CyclotomicField(4).zeta()
         cases = [
             (AffineMapSpec.rational((1, 1), 2), (1, Fraction(1, 3))),
-            (AffineMapSpec.rational((1, 1), 2), (z4, 5)),
+            (AffineMapSpec.rational((1, 1), 2), (z4 * z4, 5)),
             (roots_map_spec(), (Fraction(2), 7)),
-            (roots_map_spec(), (z4, CyclotomicField(3).zeta())),
+            (roots_map_spec(12), (z4, z3)),
         ]
         for spec, state in cases:
             got = affine_iterate(build_first_iterate(spec), state, 0)
             assert type(got) is tuple and len(got) == len(state)
             assert all(g is s for g, s in zip(got, state))
+        # a state the field does not admit raises at n = 0 too
+        for spec, state in [(AffineMapSpec.rational((1, 1), 2), (z4, 5)),
+                            (roots_map_spec(), (z4, z3))]:
+            with pytest.raises(ValueError):
+                affine_iterate(build_first_iterate(spec), state, 0)
 
     def test_apply_is_the_first_iterate(self):
         z3 = CyclotomicField(3).zeta()
         cases = [
             (AffineMapSpec.rational((Fraction(1, 2), -3), Fraction(5, 6)), (1, Fraction(2, 3))),
-            (AffineMapSpec.rational((Fraction(1, 2), -3), 1), (z3, 2)),
+            (AffineMapSpec.rational((Fraction(1, 2), -3), 1), (z3 + z3 * z3, 2)),
             (roots_map_spec(), (Fraction(1, 2), z3 - 1)),
             (roots_map_spec(5, 3), (2, 3)),
         ]
@@ -151,6 +162,83 @@ class TestMixedFields:
             assert [type(v) for v in got] == [type(v) for v in want]
         with pytest.raises(ArityError):
             build_first_iterate(roots_map_spec()).apply((1,))
+        with pytest.raises(ValueError):
+            build_first_iterate(AffineMapSpec.rational((Fraction(1, 2), -3), 1)).apply((z3, 2))
+
+
+INEXACT = [0.5, np.float64(0.5), Decimal("0.5"), "1/2"]
+
+ENTRY_POINTS = {
+    "RationalField.coerce": lambda v: RationalField().coerce(v),
+    "CyclotomicField.coerce": lambda v: CyclotomicField(12).coerce(v),
+    "from_rational": lambda v: CyclotomicNumber.from_rational(v),
+    "from_rational-order-5": lambda v: CyclotomicNumber.from_rational(v, 5),
+    "AffineMapSpec.rational-coefficient": lambda v: AffineMapSpec.rational((1, v)),
+    "AffineMapSpec.rational-constant": lambda v: AffineMapSpec.rational((1, 2), v),
+    "AffineMapSpec-coefficient": lambda v: AffineMapSpec(1, (v,), 0, RationalField()),
+    "AffineMapSpec-constant": lambda v: AffineMapSpec(1, (1,), v, CyclotomicField(3)),
+    "AffineFirstIterate-matrix": lambda v: AffineFirstIterate(((v,),), (0,), RationalField()),
+    "AffineFirstIterate-offset": lambda v: AffineFirstIterate(((1,),), (v,), CyclotomicField(4)),
+    "affine_iterate-n0": lambda v: affine_iterate(
+        build_first_iterate(AffineMapSpec.rational((1, 1))), (1, v), 0),
+    "affine_iterate-n3": lambda v: affine_iterate(
+        build_first_iterate(roots_map_spec()), (v, 1), 3),
+    "apply": lambda v: build_first_iterate(AffineMapSpec.rational((1, 1))).apply((v, 1)),
+    "apply-zeta3": lambda v: build_first_iterate(roots_map_spec()).apply((1, v)),
+}
+
+
+class TestOneAdmissionRule:
+    """Every value enters a field through its coerce, which admits only
+    ints, Fractions and CyclotomicNumbers."""
+
+    @pytest.mark.parametrize("value", INEXACT, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+    def test_inexact_values_raise_type_error(self, entry, value):
+        with pytest.raises(TypeError):
+            entry(value)
+
+    def test_stored_values_are_field_elements(self):
+        spec = AffineMapSpec.rational((1, 2), 3)
+        if not all(type(v) is Fraction for v in spec.coefficients + (spec.constant,)):
+            pytest.fail(f"rational spec stores {spec}")
+        fld = CyclotomicField(3)
+        spec = AffineMapSpec(2, (1, Fraction(1, 2)), CyclotomicField(1).one(), fld)
+        it = build_first_iterate(spec)
+        values = spec.coefficients + (spec.constant,) + it.offset + sum(it.matrix, ())
+        if not all(type(v) is CyclotomicNumber and v.order == 3 for v in values):
+            pytest.fail(f"Q(zeta3) spec stores {spec} and {it}")
+        it = AffineFirstIterate(((1, Fraction(1, 2)), (1, 0)), (2, 0), RationalField())
+        if not all(type(v) is Fraction for v in sum(it.matrix, ()) + it.offset):
+            pytest.fail(f"first iterate stores {it}")
+
+    def test_mixed_states_match_the_engine_on_the_coerced_state(self):
+        # Q(zeta6) pairs on states of ints, Fractions, Q(zeta2) and Q(zeta3)
+        # elements, which Q(zeta6) holds
+        rng = random.Random(19)
+        fld, z2, z3 = CyclotomicField(6), CyclotomicField(2), CyclotomicField(3)
+        makers = [
+            lambda: rng.randint(-5, 5),
+            lambda: rand_fraction(rng),
+            lambda: z2.coerce(rand_fraction(rng)),
+            lambda: z3.zeta(rng.randrange(3)) * rand_fraction(rng) + rng.randint(-2, 2),
+        ]
+        wrong = []
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            spec = random_spec(rng, fld, k)
+            it, f = build_first_iterate(spec), spec.as_kary_map()
+            state = tuple(rng.choice(makers)() for _ in range(k))
+            if any(g is not s for g, s in zip(affine_iterate(it, state, 0), state)):
+                wrong.append(f"{spec} at n = 0 did not return {state} as given")
+            for n in (1, 2, 3, 5, 8, 13):
+                got = affine_iterate(it, state, n)
+                want = iterate(f, tuple(map(fld.coerce, state)), n)
+                if got != want or any(type(v) is not CyclotomicNumber or v.order != 6
+                                      for v in got):
+                    wrong.append(f"{spec} on {state} at n = {n}: {got} != {want}")
+        if wrong:
+            pytest.fail("\n".join(wrong[:5]))
 
 
 class TestInvolutoryOrder:
