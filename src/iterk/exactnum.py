@@ -176,7 +176,8 @@ class CyclotomicNumber:
     phi(order) int or Fraction coordinates, which ``coeffs`` returns as
     lowest-terms Fractions.  Two values must share their order (see :meth:`embed`);
     ints and Fractions mix freely, and a rational value equals and hashes like
-    its Fraction.
+    its Fraction, at any order.  Non-rational values of different orders are
+    unequal: embed to compare.
     """
 
     order: int
@@ -346,6 +347,8 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         if isinstance(other, CyclotomicNumber):
+            if self.order != other.order and self.is_rational():
+                return other == self.rational_value()
             return (self.order, self.den, self.nums) == (other.order, other.den, other.nums)
         if isinstance(other, (int, Fraction)):
             q = other.numerator, other.denominator

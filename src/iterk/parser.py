@@ -27,14 +27,13 @@ root order, so ``z`` is an unknown name in them.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 import iterk
 
@@ -54,54 +53,83 @@ if TYPE_CHECKING:  # the affine layer loads only when to_affine runs
 
 # --- abstract syntax -------------------------------------------------------
 
-def _position():
-    # (line, column) in the source text; not part of the tree's value
-    return dataclasses.field(default=(1, 1), compare=False, repr=False)
+class _Node:
+    """A tree node.  ``==``, ``hash`` and ``repr`` read the tree through
+    :func:`_walk`, so they hold at any depth the parser accepts."""
+
+    def _key(self) -> tuple:
+        return tuple(type(x) if isinstance(x, (_Node, tuple)) else x for x in _walk(self))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, _Node) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        parts = [")" if x is _END else f"{type(x).__name__}(" if isinstance(x, _Node)
+                 else "(" if isinstance(x, tuple) else repr(x) for x in _walk(self)]
+        # no separator after an opening or before a closing parenthesis
+        return ", ".join(parts).replace("(, ", "(").replace(", )", ")")
 
 
-@dataclass(frozen=True)
-class Var:
+_END = object()  # closes a node or a tuple in a walk
+
+
+def _walk(expr: _Node):
+    # pre-order: a node or tuple, its fields (but a position) or items, _END
+    todo = [expr]
+    while todo:
+        x = todo.pop()
+        yield x
+        if isinstance(x, (_Node, tuple)):
+            items = x if isinstance(x, tuple) else [v for k, v in vars(x).items() if k != "at"]
+            todo += _END, *reversed(items)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     index: int  # 1-based
-    at: tuple[int, int] = _position()
+    at: tuple[int, int] = (1, 1)  # (line, column) in the source text
 
 
-@dataclass(frozen=True)
-class RationalLit:
+@dataclass(frozen=True, eq=False, repr=False)
+class RationalLit(_Node):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class ZetaLit:
+@dataclass(frozen=True, eq=False, repr=False)
+class ZetaLit(_Node):
     order: int
     power: int
-    at: tuple[int, int] = _position()
+    at: tuple[int, int] = (1, 1)
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     operand: "MapExpr"
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sum(_Node):
     terms: tuple[tuple[str, "MapExpr"], ...]  # 2+ terms, each after its sign ("+" first)
 
 
-@dataclass(frozen=True)
-class Product:
+@dataclass(frozen=True, eq=False, repr=False)
+class Product(_Node):
     factors: tuple["MapExpr", ...]  # 2+ factors
 
 
-@dataclass(frozen=True)
-class Group:
+@dataclass(frozen=True, eq=False, repr=False)
+class Group(_Node):
     inner: "MapExpr"
 
 
 MapExpr = Union[Var, RationalLit, ZetaLit, Neg, Sum, Product, Group]
 
 
-@dataclass(frozen=True)
-class MapDef:
+@dataclass(frozen=True, eq=False, repr=False)
+class MapDef(_Node):
     arity: int
     expr: MapExpr
 
@@ -112,64 +140,35 @@ class MapDef:
 def field_of(*exprs: MapExpr) -> Field:
     """Smallest field holding every literal of ``exprs``: the rationals, or
     the cyclotomic field of the lcm of their root orders."""
-    orders = set().union(*map(_zeta_orders, exprs))
+    orders = {x.order for e in exprs for x in _walk(e) if isinstance(x, ZetaLit)}
     return reduce(join_fields, map(CyclotomicField, orders), RationalField())
-
-
-def _zeta_orders(expr: MapExpr) -> set[int]:
-    # an operator node's fields, and the tuples among them, hold its operands
-    orders, todo = set(), [expr]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, ZetaLit):
-            orders.add(x.order)
-        elif isinstance(x, (Neg, Sum, Product, Group, tuple)):
-            todo += x if isinstance(x, tuple) else vars(x).values()
-    return orders
 
 
 # --- lexer -----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^,=]")
+# a blank is a run of what str.isspace accepts, other than the newline
+_TOKEN_RE = re.compile(r"(?P<blank>[^\S\n]+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                       r"|(?P<punct>[()+\-*/^,=])|(?P<newline>\n)|(?P<bad>.)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "name", or the punctuation character itself
+class _Token(NamedTuple):
+    kind: str  # "int", "name", "eof", or the punctuation character itself
     text: str
     line: int
     column: int
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            col += 1
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        lexeme = m.group()
-        if lexeme[0].isdigit():
-            kind = "int"
-        elif lexeme[0].isalpha() or lexeme[0] == "_":
-            kind = "name"
-        else:
-            kind = lexeme
-        tokens.append(_Token(kind, lexeme, line, col))
-        col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    tokens, line, start = [], 1, 0  # start: offset of the current line
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme, column = m.lastgroup, m.group(), m.start() - start + 1
+        if kind == "newline":
+            line, start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", line, column)
+        elif kind != "blank":
+            tokens.append(_Token(lexeme if kind == "punct" else kind, lexeme, line, column))
+    tokens.append(_Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 

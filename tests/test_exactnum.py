@@ -119,6 +119,25 @@ class TestRootsOfUnity:
             z3.equals(z6)
         assert z3.equals(CyclotomicNumber.zeta(3))
 
+    @pytest.mark.parametrize("value, orders", [(1, (3, 6)), (Fraction(-3, 2), (4, 12))])
+    def test_rational_values_are_equal_across_orders(self, value, orders):
+        a, b = (CyclotomicField(n).coerce(value) for n in orders)
+        if not (a == b and b == a and a == value and hash(a) == hash(b) == hash(value)):
+            pytest.fail(f"{a!r} and {b!r} at orders {orders} differ from {value!r}")
+
+    def test_equality_is_transitive_through_the_rationals(self):
+        ones = {CyclotomicField(3).one(), CyclotomicField(6).one(), Fraction(1), 1}
+        if len(ones) != 1:
+            pytest.fail(f"one is {len(ones)} distinct values: {ones!r}")
+
+    def test_non_rational_values_of_different_orders_are_unequal(self):
+        # embed to compare: zeta(3) is zeta(6)**2, but only once both share an order
+        z3 = CyclotomicNumber.zeta(3)
+        if z3 == CyclotomicNumber.zeta(6, 2) or z3 == CyclotomicNumber.zeta(6):
+            pytest.fail("values of different root orders compared equal")
+        if z3.embed(6) != CyclotomicNumber.zeta(6, 2):
+            pytest.fail("embedded values differ")
+
 
 def cyclo_values(order):
     coeff = st.fractions(

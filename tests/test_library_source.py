@@ -64,3 +64,10 @@ def test_only_the_two_text_readers_raise_parse_errors():
         and "ParseError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
     }
     assert found == {"parser.py", "tables.py"}
+
+
+def test_library_parses_as_python_3_10():
+    # pyproject declares Python >= 3.10.7; this checks the grammar only
+    # (no `except*`, no 3.11+ syntax), not which library APIs the code calls
+    for path in sorted(Path(iterk.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -226,6 +226,70 @@ class TestLongAndDeepBodies:
             parse_map_def(text)
 
 
+class TestTreeValue:
+    @pytest.mark.parametrize("n", [90, 199])
+    def test_equality_hash_and_repr_hold_at_every_accepted_depth(self, n):
+        def nest(leaf):
+            return "f(x1) = " + "(x1 + 2 * " * n + leaf + ")" * n
+
+        a, b = parse_map_def(nest("x1")), parse_map_def(nest("x1"))
+        shifted = parse_map_def(nest("x1").replace(" ", "\n  "))  # same tree, other positions
+        deepest = parse_map_def(nest("2"))  # differs only at the bottom
+        if a.expr.inner.terms[0][1].at == shifted.expr.inner.terms[0][1].at:
+            pytest.fail("the shifted copy has the same positions")
+        for other in (b, shifted):
+            if not (a == other and hash(a) == hash(other) and repr(a) == repr(other)):
+                pytest.fail(f"two parses of the same tree at depth {n} differ")
+        if a == deepest or repr(a) == repr(deepest):
+            pytest.fail(f"trees that differ at depth {n} compare equal")
+
+    def test_repr_names_every_node(self):
+        d = parse_map_def("f(x1,x2) = -(x1 + 1/2) * zeta(3)^2 - x2")
+        want = (
+            "MapDef(2, Sum((('+', Product((Neg(Group(Sum((('+', Var(1)), ('+', RationalLit("
+            "Fraction(1, 2))))))), ZetaLit(3, 2)))), ('-', Var(2)))))"
+        )
+        if repr(d) != want:
+            pytest.fail(f"repr {d!r}, want {want}")
+
+
+class TestTokenPositions:
+    GOOD = list("fxzeta_0123456789()+-*/^,=") + ["x1", "zeta", " ", "\t", "\r", "\u00a0", "\u2028"]
+    BAD = ["@", "\u00e9", ".", "\u00b2", "\x00"]
+
+    def test_tokens_locate_their_lexemes_or_the_first_bad_character(self):
+        rng = random.Random(31)
+        wrong = []
+        for _ in range(3000):
+            text = "".join(
+                rng.choice(self.BAD if rng.random() < 0.02 else ["\n"] if rng.random() < 0.1
+                           else self.GOOD)
+                for _ in range(rng.randint(0, 60))
+            )
+            lines = text.split("\n")  # not splitlines: only a newline starts a line
+            bad = next((i for i, c in enumerate(text) if c in self.BAD), None)
+            try:
+                tokens = iterk.parser._tokenize(text)
+            except ParseError as err:
+                if bad is None:
+                    wrong.append(f"{text!r}: {err}")
+                    continue
+                line, column = text.count("\n", 0, bad) + 1, bad - text.rfind("\n", 0, bad)
+                want = (f"unexpected character {text[bad]!r}", line, column)
+                if (err.message, err.line, err.column) != want:
+                    wrong.append(f"{text!r}: {err}, want {want}")
+                continue
+            if bad is not None:
+                wrong.append(f"{text!r}: no error for {text[bad]!r}")
+            if "".join(t.text for t in tokens) != "".join(c for c in text if not c.isspace()):
+                wrong.append(f"{text!r}: tokens {tokens} do not cover the text")
+            for t in tokens:
+                if lines[t.line - 1][t.column - 1:t.column - 1 + len(t.text)] != t.text:
+                    wrong.append(f"{text!r}: {t} is not at its position")
+        if wrong:  # not an assert, so the check also runs under python -O
+            pytest.fail("\n".join(wrong[:5]))
+
+
 class TestScalars:
     def test_parse_scalar(self):
         assert eval_scalar(parse_scalar("-7/2")) == Fraction(-7, 2)
