@@ -304,7 +304,35 @@ class TestTransforms:
         assert code == 0 and out.strip() == "4/3"
 
 
+VERIFY_EXAMPLES_CHECKS = [
+    ("add_mod3-cycles", "lengths (4, 4, 1), minimal order 4"),
+    ("add_mod3-symmetric", "invariant under argument swaps"),
+    ("add_mod3-ii3", "induced 3-involutory"),
+    ("ii3_persym_m4-cycles", "lengths (15, 1), minimal order 15"),
+    ("ii3_persym_m4-symmetric", "invariant under argument swaps"),
+    ("ii3_persym_m4-ii3", "induced 3-involutory"),
+    ("ii3_persym_m4-persymmetric", "antidiagonal symmetry"),
+    ("pair-sum-closed-form", "closed form == engine == matrix power, n <= 30, 100 seeds"),
+    ("sum-map-closed-form", "all residues mod k+1 for k <= 5; minimal order k+1"),
+    ("roots-of-unity",
+     "induced cycles, product form vs engine, no global order, asymmetric"),
+    ("augment-projection", "lifted map projects to the first argument on 1000 inputs"),
+]
+
+
 class TestVerifyExamples:
+    def test_text_output_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "verify-examples")
+        lines = [f"ok {name}: {detail}" for name, detail in VERIFY_EXAMPLES_CHECKS]
+        assert (code, out, err) == (0, "\n".join(lines) + "\n11/11 checks passed\n", "")
+
+    def test_json_output_is_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "verify-examples", "--json")
+        checks = [{"detail": detail, "name": name, "ok": True}
+                  for name, detail in VERIFY_EXAMPLES_CHECKS]
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"checks": checks, "failures": []}
+
     def test_passes_and_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "verify-examples")
         assert code == 0
