@@ -3,8 +3,11 @@
 For an affine map the first iterate is itself affine: an exact k-by-k
 matrix plus offset vector, read off :func:`engine.first_iterate` at the zero
 state and the unit vectors.  The n-th iterate is the n-th power of the
-(matrix, offset) pair, taken by square-and-multiply and applied to the state
-as it goes; no homogeneous (k+1)-matrix is formed.
+(matrix, offset) pair, taken by square-and-multiply: the powers pair**(2**j)
+are kept on the first iterate and those of the set bits of n are applied to
+the state, so one map iterated at many n squares each power once.  They
+take less than twice the memory of the largest, which one call builds anyway,
+and are replaced whole, never changed in place.  No (k+1)-matrix is formed.
 
 The powers run in integers.  When the first iterate is built, its pair is
 lifted once to an integral pair (A, b) over one positive denominator D: each
@@ -144,12 +147,14 @@ class AffineFirstIterate:
 
     ``matrix`` and ``offset`` hold elements of ``field``, coerced on entry;
     the integral pair that the powers run on is lifted from them once, here.
+    The powers pair**(2**j) built so far are kept in ``_squares``: a tuple
+    that is replaced, never changed, so every thread reads a correct prefix.
     """
 
     matrix: tuple
     offset: tuple
     field: Field
-    _pair: _IntegralPair = dataclass_field(init=False, repr=False, compare=False)
+    _squares: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = self.field.order if isinstance(self.field, CyclotomicField) else 1
@@ -158,7 +163,16 @@ class AffineFirstIterate:
         object.__setattr__(self, "offset", tuple(map(coerce, self.offset)))
         coords, den = _integral([x for row in self.matrix for x in row] + list(self.offset))
         rows = [coords[i * k : (i + 1) * k] for i in range(k)]
-        object.__setattr__(self, "_pair", _IntegralPair(order, rows, coords[k * k :], den))
+        object.__setattr__(self, "_squares", (_IntegralPair(order, rows, coords[k * k :], den),))
+
+    def _square(self, j: int) -> _IntegralPair:
+        """The pair to the power 2**j: each missing power is the square of the
+        last one, kept in a new tuple that replaces the old one whole."""
+        squares = self._squares
+        while len(squares) <= j:
+            squares += (squares[-1].after(squares[-1]),)
+            object.__setattr__(self, "_squares", squares)
+        return squares[j]
 
     @property
     def arity(self) -> int:
@@ -185,22 +199,17 @@ def build_first_iterate(spec: AffineMapSpec) -> AffineFirstIterate:
 
 def _power_image(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
     """The n-th iterate of ``state``, taken in through ``it.field.coerce``:
-    bit j of n applies the 2**j-th power of the pair, and the next power is
-    its square."""
+    bit j of n applies the kept 2**j-th power of the pair."""
     if len(state) != it.arity:
         raise ArityError(f"state length {len(state)} != arity {it.arity}")
-    pair = it._pair
     v, s = _integral(map(it.field.coerce, state))
-    while True:
-        if n & 1:
+    for j in range(n.bit_length()):
+        if n >> j & 1:
+            pair = it._square(j)
             s, (v,) = _lowest(pair.den * s, pair.image(v, s))
-        n >>= 1
-        if not n:
-            break
-        pair = pair.after(pair)
     if isinstance(it.field, RationalField):
         return tuple(Fraction(x[0], s) for x in v)
-    return tuple(_canonical(pair.order, x, s) for x in v)
+    return tuple(_canonical(it._square(0).order, x, s) for x in v)
 
 
 def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
@@ -219,7 +228,7 @@ def affine_involutory_order(it: AffineFirstIterate, bound: int) -> int | None:
     offset, or None if no such n exists within the bound."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    pair = power = it._pair
+    pair = power = it._square(0)
     zero = [0] * len(pair.offset[0])
     ident = [[[int(i == j)] + zero[1:] for j in range(it.arity)] for i in range(it.arity)]
     for n in range(1, bound + 1):

@@ -57,6 +57,11 @@ class _Node:
     """A tree node.  ``==``, ``hash`` and ``repr`` read the tree through
     :func:`_walk`, so they hold at any depth the parser accepts."""
 
+    _fields: tuple[str, ...] = ()  # per class: the field names but a position, reversed
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(k for k in reversed(cls.__annotations__) if k != "at")
+
     def _key(self) -> tuple:
         return tuple(type(x) if isinstance(x, (_Node, tuple)) else x for x in _walk(self))
 
@@ -82,9 +87,10 @@ def _walk(expr: _Node):
     while todo:
         x = todo.pop()
         yield x
-        if isinstance(x, (_Node, tuple)):
-            items = x if isinstance(x, tuple) else [v for k, v in vars(x).items() if k != "at"]
-            todo += _END, *reversed(items)
+        if isinstance(x, tuple):
+            todo += _END, *reversed(x)
+        elif isinstance(x, _Node):
+            todo += _END, *map(vars(x).__getitem__, x._fields)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

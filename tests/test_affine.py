@@ -1,8 +1,11 @@
 """Exact affine analysis: matrix first iterates, closed forms, the
 floating-point conjugacy demo."""
 
+import functools
 import math
 import random
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -515,6 +518,103 @@ class TestDifferentialAgainstObjectArrays:
         d = parse_map_def("f(x1) = zeta(3)*x1 + zeta(4)")
         it = build_first_iterate(to_affine(d))
         assert affine_involutory_order(it, 50) == object_array_order(it, 50) == 3
+
+
+SQUARES_FIELDS = (RationalField(),) + tuple(CyclotomicField(n) for n in (3, 4, 8))
+SQUARES_TOP = 1000
+
+
+@functools.cache
+def squares_cases(fld):
+    """Maps whose numbers stay small at every n <= SQUARES_TOP, k <= 4: a
+    monomial map and A - sum(x), of order k + 1, each with a state and its
+    engine orbit up to SQUARES_TOP."""
+    rng = random.Random(f"squares {fld}")
+    cases = []
+    for k in range(1, 5):
+        for spec in (
+            monomial_spec(rng, fld, k),
+            AffineMapSpec(k, (-fld.one(),) * k, random_element(rng, fld), fld),
+        ):
+            f, state = spec.as_kary_map(), tuple(random_element(rng, fld) for _ in range(k))
+            orbit = [state]
+            for _ in range(SQUARES_TOP):
+                orbit.append(first_iterate(f, orbit[-1]))
+            cases.append((spec, state, orbit))
+    return cases
+
+
+class TestKeptSquares:
+    """The powers pair**(2**j) kept on a first iterate serve every later
+    call, in any order of n and from several threads.  These checks fail
+    through pytest.fail, so they hold under python -O too."""
+
+    @pytest.mark.parametrize("fld", SQUARES_FIELDS, ids=str)
+    def test_any_call_order_matches_a_fresh_iterate_and_the_engine(self, fld):
+        rng = random.Random(f"call order {fld}")
+        for spec, state, orbit in squares_cases(fld):
+            it = build_first_iterate(spec)
+            descending = list(range(SQUARES_TOP, -1, -1))
+            repeats = [n for n in rng.sample(descending, 30) for _ in range(3)]
+            shuffled = rng.sample(descending, 100)
+            # a fresh first iterate squares from scratch: slow, so sampled
+            fresh_ns = set(rng.sample(descending, 50) + repeats[:30])
+            for n in descending + repeats + shuffled:
+                got = affine_iterate(it, state, n)
+                if got != orbit[n]:
+                    pytest.fail(f"n={n}: {got} != engine {orbit[n]}")
+                if n in fresh_ns:
+                    want = affine_iterate(build_first_iterate(spec), state, n)
+                    if got != want or list(map(type, got)) != list(map(type, want)):
+                        pytest.fail(f"n={n}: {got} != fresh {want}")
+
+    @pytest.mark.parametrize("fld", SQUARES_FIELDS, ids=str)
+    def test_used_and_fresh_iterates_compare_equal(self, fld):
+        for spec, state, _ in squares_cases(fld):
+            it, fresh = build_first_iterate(spec), build_first_iterate(spec)
+            affine_iterate(it, state, SQUARES_TOP)
+            if len(it._squares) <= len(fresh._squares):
+                pytest.fail("no powers were kept")
+            if not (it == fresh and fresh == it):
+                pytest.fail(f"{it!r} != {fresh!r}")
+            if hash(it) != hash(fresh) or repr(it) != repr(fresh):
+                pytest.fail(f"hash or repr of {it!r} changed once used")
+
+    @pytest.mark.parametrize("fld", SQUARES_FIELDS, ids=str)
+    def test_four_threads_share_one_iterate(self, fld):
+        for spec, state, orbit in squares_cases(fld):
+            # the threads' n differ, and each thread starts past 2**9, so
+            # all four extend the kept powers at once
+            ns = [[SQUARES_TOP - t - 4 * i for i in range(12)] for t in range(4)]
+            it, results, errors = build_first_iterate(spec), [{} for _ in ns], []
+            barrier = threading.Barrier(len(ns))
+
+            def work(t):
+                try:
+                    barrier.wait()
+                    for n in ns[t]:
+                        results[t][n] = affine_iterate(it, state, n)
+                except BaseException as exc:  # reported below, not lost in the thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(ns))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads often, inside each squaring
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            if errors or any(thread.is_alive() for thread in threads):
+                pytest.fail(f"threads raised {errors} or did not finish")
+            serial = build_first_iterate(spec)
+            for t, got in enumerate(results):
+                for n in ns[t]:
+                    want = affine_iterate(serial, state, n)
+                    if not got.get(n) == want == orbit[n]:
+                        pytest.fail(f"thread {t}, n={n}: {got.get(n)} != serial {want}")
 
 
 class TestFibonacciClosedForm:
