@@ -3,11 +3,10 @@
 For an affine map the first iterate is itself affine: an exact k-by-k
 matrix plus offset vector, read off :func:`engine.first_iterate` at the zero
 state and the unit vectors.  The n-th iterate is the n-th power of the
-(matrix, offset) pair, taken by square-and-multiply: the powers pair**(2**j)
-are kept on the first iterate and those of the set bits of n are applied to
-the state, so one map iterated at many n squares each power once.  They
-take less than twice the memory of the largest, which one call builds anyway,
-and are replaced whole, never changed in place.  No (k+1)-matrix is formed.
+(matrix, offset) pair by square-and-multiply.  The first iterate keeps the
+powers pair**(2**j), in less than twice the memory of the largest, which one
+call builds anyway; they are replaced whole, never changed in place.  Those of
+the set bits of n are applied to the state; no (k+1)-matrix is formed.
 
 The powers run in integers.  When the first iterate is built, its pair is
 lifted once to an integral pair (A, b) over one positive denominator D: each
@@ -147,8 +146,7 @@ class AffineFirstIterate:
 
     ``matrix`` and ``offset`` hold elements of ``field``, coerced on entry;
     the integral pair that the powers run on is lifted from them once, here.
-    The powers pair**(2**j) built so far are kept in ``_squares``: a tuple
-    that is replaced, never changed, so every thread reads a correct prefix.
+    The powers pair**(2**j) kept in ``_squares`` are replaced whole: threads read a prefix.
     """
 
     matrix: tuple
@@ -166,8 +164,7 @@ class AffineFirstIterate:
         object.__setattr__(self, "_squares", (_IntegralPair(order, rows, coords[k * k :], den),))
 
     def _square(self, j: int) -> _IntegralPair:
-        """The pair to the power 2**j: each missing power is the square of the
-        last one, kept in a new tuple that replaces the old one whole."""
+        """pair**(2**j), squaring the last kept power as needed."""
         squares = self._squares
         while len(squares) <= j:
             squares += (squares[-1].after(squares[-1]),)
@@ -203,10 +200,8 @@ def _power_image(it: AffineFirstIterate, state: Sequence[Element], n: int) -> St
     if len(state) != it.arity:
         raise ArityError(f"state length {len(state)} != arity {it.arity}")
     v, s = _integral(map(it.field.coerce, state))
-    for j in range(n.bit_length()):
-        if n >> j & 1:
-            pair = it._square(j)
-            s, (v,) = _lowest(pair.den * s, pair.image(v, s))
+    for pair in (it._square(j) for j in range(n.bit_length()) if n >> j & 1):
+        s, (v,) = _lowest(pair.den * s, pair.image(v, s))
     if isinstance(it.field, RationalField):
         return tuple(Fraction(x[0], s) for x in v)
     return tuple(_canonical(it._square(0).order, x, s) for x in v)

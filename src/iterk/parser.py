@@ -55,9 +55,8 @@ if TYPE_CHECKING:  # the affine layer loads only when to_affine runs
 
 class _Node:
     """A tree node.  ``==``, ``hash`` and ``repr`` read the tree through
-    :func:`_walk`, so they hold at any depth the parser accepts."""
-
-    _fields: tuple[str, ...] = ()  # per class: the field names but a position, reversed
+    :func:`_walk`, so they hold at any depth the parser accepts; ``_fields``
+    names a class's fields but a position, reversed, for that walk."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(k for k in reversed(cls.__annotations__) if k != "at")
