@@ -186,6 +186,102 @@ class TestCycleReport:
                     range(m**k)
                 )
 
+    def test_matches_walked_labels_on_seeded_tables(self):
+        rng = np.random.default_rng(50)
+        for i in range(50):
+            m, k = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            if m**k > 3000:
+                k = 1 + int(math.log(3000, m))
+            if i % 3:
+                entries = rng.integers(0, m, size=m**k)
+            else:  # (c + sum x) mod m, whose first iterate is a bijection
+                entries = (int(rng.integers(m)) + _kernels.digits(0, m**k, m, k).sum(axis=1)) % m
+            t = FiniteTable(m, k, entries)
+            perm, bijective = _kernels.table_perm(t.entries, m, k)
+            labels = walked_cycle_labels(perm.tolist())
+            cycles = []
+            for s, (head, _, length) in enumerate(labels):
+                if length and head == s:
+                    cycles.append([s])
+                    while len(cycles[-1]) < length:
+                        cycles[-1].append(int(perm[cycles[-1][-1]]))
+            periods = {s: length for s, (_, _, length) in enumerate(labels) if length}
+            order = math.lcm(*map(len, cycles)) if bijective else None
+            want = tables.CycleReport(bijective, tuple(map(tuple, cycles)), order, periods)
+            rep = cycle_report(t)
+            assert rep == want and rep.per_point_period == want.per_point_period
+
+
+def walked_cycle_labels(perm):
+    # (head, steps to head, cycle length) per state by walking each state's
+    # trajectory once, and (0, 0, 0) for states on no cycle
+    labels = [(0, 0, 0)] * len(perm)
+    seen = [False] * len(perm)
+    for s in range(len(perm)):
+        walk, x = {}, s
+        while not seen[x] and x not in walk:
+            walk[x] = len(walk)
+            x = perm[x]
+        for y in walk:
+            seen[y] = True
+        if x in walk:  # the walk closed a new cycle at x
+            cycle = list(walk)[walk[x]:]
+            head = cycle.index(min(cycle))
+            for i, y in enumerate(cycle):
+                labels[y] = (cycle[head], (head - i) % len(cycle), len(cycle))
+    return labels
+
+
+def random_self_map(rng, n, kind):
+    if kind == "random":
+        return rng.integers(0, n, size=n)
+    if kind == "bijective":
+        return rng.permutation(n)
+    if kind == "fixed":
+        return np.arange(n)
+    if kind == "one-cycle":
+        order = rng.permutation(n)
+        perm = np.empty(n, np.int64)
+        perm[order] = np.roll(order, -1)
+        return perm
+    # "one-cyclic-state": a random tree, each state pointing to one earlier
+    # in a random order, whose first state is the one fixed point
+    order = rng.permutation(n)
+    perm = np.empty(n, np.int64)
+    perm[order] = order[rng.integers(0, np.maximum(np.arange(n), 1))]
+    return perm
+
+
+class TestCycleKernel:
+    KINDS = ["random", "bijective", "fixed", "one-cycle", "one-cyclic-state"]
+
+    @staticmethod
+    def assert_matches_walk(perm, size):
+        head, to_head, length = _kernels.cycles(perm, size)
+        labels = walked_cycle_labels(perm.tolist())
+        assert length.tolist() == [c for _, _, c in labels]
+        on = length > 0
+        assert head[on].tolist() == [h for h, _, c in labels if c]
+        assert to_head[on].tolist() == [d for _, d, c in labels if c]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_block_matches_walk(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        for n in [1, 2, 3, 7, 64, 65, *rng.integers(1, 301, size=20).tolist()]:
+            self.assert_matches_walk(random_self_map(rng, n, kind), n)
+
+    @pytest.mark.parametrize("kind", KINDS + ["mixed"])
+    def test_batched_blocks_match_walk(self, kind):
+        # blocks of ``size`` states, each mapping into itself, as cycle_sweep builds them
+        rng = np.random.default_rng(10 + (self.KINDS + ["mixed"]).index(kind))
+        for _ in range(10):
+            size, blocks = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+            perm = np.concatenate([
+                b * size + random_self_map(rng, size, rng.choice(self.KINDS) if kind == "mixed" else kind)
+                for b in range(blocks)
+            ])
+            self.assert_matches_walk(perm, size)
+
 
 class TestInvolutoryPredicates:
     def test_mod3_orders(self):
@@ -843,6 +939,67 @@ class TestTextFormat:
                     lines.append(rng.choice(["", "  ", "# 7 x", "  # 9"]))
             text = rng.choice(["\n", "\r\n"]).join(lines) + "\n"
             assert load_outcome(loads_table, text) == load_outcome(reference_loads_table, text), text
+
+    def test_plain_digit_texts_match_token_by_token_reference(self):
+        # only ASCII digits and ASCII blanks, so every text that holds a digit
+        # can take the one-pass numpy parse
+        rng = random.Random(22)
+        seps = [" ", "\t", "\x0b", "\x0c", "\r\n"]
+        for _ in range(400):
+            m, k = rng.randint(1, 4), rng.randint(1, 3)
+            toks = [rng.choice(["{}", "0{}"]).format(rng.randrange(m)) for _ in range(m**k)]
+            fault = rng.randrange(6)
+            if fault == 1:
+                toks.insert(rng.randrange(len(toks) + 1), "0")
+            elif fault == 2:
+                del toks[rng.randrange(len(toks))]
+            elif fault == 3:
+                toks[rng.randrange(len(toks))] = str(rng.randint(m, 99))
+            elif fault == 4:
+                toks[rng.randrange(len(toks))] = rng.choice(
+                    ["99999999999999999999", "10000000000000000000", "00000000000000000000"]
+                )
+            lines = [f"{m} {k}"]
+            while toks:
+                n = rng.randint(1, 4)
+                line = rng.choice(["", " ", "\t"])
+                for tok in toks[:n]:
+                    line += tok + rng.choice(seps)
+                lines.append(line[:-1] if rng.random() < 0.5 else line)
+                toks = toks[n:]
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(["", "  ", "# 7 x", "  # 9"]))
+            text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+            assert load_outcome(loads_table, text) == load_outcome(reference_loads_table, text), text
+
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            # blanks only: no value, reported at 1:1
+            ("1 1\n \n", ("expected 1 values for m=1, k=1, found 0", 1, 1)),
+            ("1 1\n\t\x0b\x0c\n", ("expected 1 values for m=1, k=1, found 0", 1, 1)),
+            ("2 1\n1\x0b0", (1, 0)),
+            ("2 1\n00000000000000000001 0\n", (1, 0)),
+            ("3 1\n0 1 99999999999999999999\n", ("value 99999999999999999999 out of range 0..2", 2, 5)),
+            # \x85, \x1c and U+2028 break lines; \xa0 is a blank inside one
+            ("2 1\n1\x850\n", (1, 0)),
+            ("2 1\n1\x852\n", ("value 2 out of range 0..1", 3, 1)),
+            ("2 1\x851 0\n", (1, 0)),
+            ("2 1\n1\xa00\n", (1, 0)),
+            ("2 1\n1\xa02\n", ("value 2 out of range 0..1", 2, 3)),
+            ("2 1\xa01 0\n", ("header must be two integers: m k", 1, 1)),
+            ("2 2\n1 0\x1c0 1\n", (1, 0, 0, 1)),
+            ("2 1\n1\x1c2\n", ("value 2 out of range 0..1", 3, 1)),
+            ("2 1\x1c1 0\n", (1, 0)),
+            ("2 2\n1 0 0 1\n", (1, 0, 0, 1)),
+            ("2 1\n1 2\n", ("value 2 out of range 0..1", 3, 1)),
+            ("2 1 1 0\n", (1, 0)),
+        ],
+    )
+    def test_blank_and_line_break_edge_cases(self, text, outcome):
+        got = load_outcome(loads_table, text)
+        assert (got.values() if isinstance(got, FiniteTable) else got) == outcome
+        assert got == load_outcome(reference_loads_table, text)
 
     @pytest.mark.parametrize(
         "text, values",
