@@ -112,27 +112,39 @@ def cycles(perm, size):
     each block mapping into itself.
 
     Returns, per state, the least member of its cycle (its head), the steps
-    from a cyclic state to its head, and its cycle length, 0 for states on no
-    cycle.  Pointer doubling (Wyllie 1979): after r rounds each state holds
-    the least of itself and its next 2^r - 1 successors, and the steps to
-    that state's first occurrence.  Trajectories
-    enter their cycle within ``size`` steps and no cycle is longer, so after
-    R = ceil(log2 size) rounds the image of perm^(2^R) is exactly the set of
-    cyclic states, and each of their windows spans the whole cycle.
+    to its head and its cycle length; states on no cycle get 0 in all three.
+    Trajectories enter their cycle within ``size`` steps and no cycle is
+    longer.  So with R = ceil(log2 size), the cyclic states are the image of
+    perm^(2^R), found by R squarings unless perm is a bijection, and perm is
+    restricted to them.  On those, pointer doubling (Wyllie 1979): after r
+    rounds each holds the least of itself and its next 2^r - 1 successors,
+    and the steps to that state's first occurrence, so after R rounds each
+    window spans the whole cycle.
     """
     n = perm.shape[0]
     rounds = (size - 1).bit_length()
+    states, p = np.arange(n), perm
+    if not _is_bijective(perm[None])[0]:
+        for _ in range(rounds):
+            p = p[p]
+        states = np.flatnonzero(np.bincount(p, minlength=n))
+        # rank[s] is the place of cyclic state s among the cyclic states
+        rank = np.zeros(n, np.int64)
+        rank[states] = np.arange(states.size)
+        p = rank[perm[states]]
     # key = state * 2**rounds + steps: the minimum is the least state, at
     # its first occurrence
-    p, key = perm, np.arange(n) << rounds
+    key = states << rounds
     for r in range(rounds):
         np.minimum(key, key[p] + (1 << r), out=key)
         p = p[p]
-    on = np.zeros(n, bool)
-    on[p] = True
     head = key >> rounds
-    length = np.bincount(head[on], minlength=n)[head]
-    return head, key & ((1 << rounds) - 1), np.where(on, length, 0)
+    labels = head, key & ((1 << rounds) - 1), np.bincount(head)[head]
+    if states.size == n:
+        return labels
+    out = np.zeros((3, n), np.int64)
+    out[:, states] = labels
+    return tuple(out)
 
 
 def cycle_sweep(m, k):

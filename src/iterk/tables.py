@@ -494,12 +494,12 @@ def loads_table(text: str) -> FiniteTable:
     integer syntax.  A header with more than :data:`STATE_BUDGET` states
     raises :class:`BudgetError` before any value is read.
 
-    The values are converted in one numpy pass; only when that fails (a
-    wrong count, a token that is no integer, a value out of range) are the
-    lines tokenized again, to raise a :class:`ParseError` at the first bad
-    token's line and column.
+    A body of ASCII digits and blanks is converted in one C pass.  Any other
+    body, or one that fails there (a wrong count, a value out of range), is
+    walked token by token: each value by ``int``, or a :class:`ParseError`
+    at the first bad token's line and column.
     """
-    lines = text.splitlines()
+    lines = text.splitlines(keepends=True)
     for ln, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -517,25 +517,29 @@ def loads_table(text: str) -> FiniteTable:
         break
     else:
         raise ParseError("missing header line")
-    data = [
-        (i, line)
-        for i, line in enumerate(lines[ln:], start=ln + 1)
-        if not line.lstrip().startswith("#")
-    ]
-    try:
-        # FiniteTable checks the count and the range
-        tokens = " ".join(line for _, line in data).split()
-        return FiniteTable(m, k, np.array(tokens, dtype=np.int64))
-    except (ValueError, OverflowError):
-        _raise_at_first_bad_token(data, m, k)
-        raise
+    body = text[sum(map(len, lines[:ln])):]
+    if "#" in body:
+        body = "".join(line for line in lines[ln:] if not line.lstrip().startswith("#"))
+    # non-ASCII characters encode as "?", which sends the body to the walk;
+    # a blank-only body would read as [0], so it needs at least one digit
+    raw = body.encode("ascii", "replace")
+    if not raw.translate(None, b"0123456789 \t\n\r\x0b\x0c") and not raw.isspace():
+        try:
+            # FiniteTable checks the count and the range
+            return FiniteTable(m, k, np.fromstring(raw, np.int64, sep=" "))
+        except ValueError:
+            pass
+    return FiniteTable(m, k, _walk_tokens(lines, ln, m, k))
 
 
-def _raise_at_first_bad_token(data: list[tuple[int, str]], m: int, k: int) -> None:
-    # walk the numbered data lines, tracking columns, and raise the ParseError
-    # for a wrong count (at the last token) or the first bad value
+def _walk_tokens(lines: list[str], header_ln: int, m: int, k: int) -> list[int]:
+    # walk the data lines after the header, tracking lines and columns, and
+    # return the values, or raise the ParseError for a wrong count (at the
+    # last token) or the first bad value
     tokens: list[tuple[str, int, int]] = []
-    for ln, line in data:
+    for ln, line in enumerate(lines[header_ln:], start=header_ln + 1):
+        if line.lstrip().startswith("#"):
+            continue
         col = 1
         for tok in line.split():
             col = line.index(tok, col - 1) + 1
@@ -548,6 +552,7 @@ def _raise_at_first_bad_token(data: list[tuple[int, str]], m: int, k: int) -> No
             tokens[-1][1] if tokens else 1,
             tokens[-1][2] if tokens else 1,
         )
+    values = []
     for tok, ln, col in tokens:
         try:
             v = int(tok)
@@ -555,6 +560,8 @@ def _raise_at_first_bad_token(data: list[tuple[int, str]], m: int, k: int) -> No
             raise ParseError(f"bad value {tok!r}", ln, col) from None
         if not 0 <= v < m:
             raise ParseError(f"value {v} out of range 0..{m - 1}", ln, col)
+        values.append(v)
+    return values
 
 
 def load_table(path) -> FiniteTable:
