@@ -518,8 +518,10 @@ def loads_table(text: str) -> FiniteTable:
     else:
         raise ParseError("missing header line")
     body = text[sum(map(len, lines[:ln])):]
+    data = enumerate(lines[ln:], start=ln + 1)  # numbered data lines
     if "#" in body:
-        body = "".join(line for line in lines[ln:] if not line.lstrip().startswith("#"))
+        data = [(i, line) for i, line in data if not line.lstrip().startswith("#")]
+        body = "".join(line for _, line in data)
     # non-ASCII characters encode as "?", which sends the body to the walk;
     # a blank-only body would read as [0], so it needs at least one digit
     raw = body.encode("ascii", "replace")
@@ -529,17 +531,15 @@ def loads_table(text: str) -> FiniteTable:
             return FiniteTable(m, k, np.fromstring(raw, np.int64, sep=" "))
         except ValueError:
             pass
-    return FiniteTable(m, k, _walk_tokens(lines, ln, m, k))
+    return FiniteTable(m, k, _walk_tokens(data, m, k))
 
 
-def _walk_tokens(lines: list[str], header_ln: int, m: int, k: int) -> list[int]:
-    # walk the data lines after the header, tracking lines and columns, and
-    # return the values, or raise the ParseError for a wrong count (at the
-    # last token) or the first bad value
+def _walk_tokens(data: Iterable[tuple[int, str]], m: int, k: int) -> list[int]:
+    # walk the numbered data lines, tracking columns, and return the values,
+    # or raise the ParseError for a wrong count (at the last token) or the
+    # first bad value
     tokens: list[tuple[str, int, int]] = []
-    for ln, line in enumerate(lines[header_ln:], start=header_ln + 1):
-        if line.lstrip().startswith("#"):
-            continue
+    for ln, line in data:
         col = 1
         for tok in line.split():
             col = line.index(tok, col - 1) + 1

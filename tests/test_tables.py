@@ -190,8 +190,6 @@ class TestCycleReport:
         rng = np.random.default_rng(50)
         for i in range(50):
             m, k = int(rng.integers(2, 7)), int(rng.integers(1, 5))
-            if m**k > 3000:
-                k = 1 + int(math.log(3000, m))
             if i % 3:
                 entries = rng.integers(0, m, size=m**k)
             else:  # (c + sum x) mod m, whose first iterate is a bijection
