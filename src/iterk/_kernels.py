@@ -5,7 +5,9 @@ fastest), batched as ``[N, m**k]``; :func:`digits` batches are column-major.
 The row-major index of k consecutive terms is a state index and the table
 index of the next term, so the recurrence a_{n+k} = f(a_n, ..., a_{n+k-1})
 acts on window indices as a shift register: :func:`_step` is its only
-index arithmetic, and the first iterate is k steps of it.
+index arithmetic, and the first iterate is k steps of it.  A batch runs in
+a flat block layout: row r of n entries holds positions r*n .. r*n + n - 1,
+and its values carry the same offset, so every gather is one flat take.
 """
 
 from __future__ import annotations
@@ -36,24 +38,39 @@ def digits(start, stop, base, width):
     return out
 
 
+def _flat(batch):
+    return (batch + np.arange(0, batch.size, batch.shape[1])[:, None]).ravel()
+
+
 def _step(tables, w, m, k):
-    # one recurrence term: the next term is the table at the window, and the
-    # window drops its oldest term and takes that one on
-    term = np.take_along_axis(tables, w, axis=1)
-    return w % m ** (k - 1) * m + term, term
+    # one recurrence term: the window shifts up a digit, drops its oldest term
+    # and takes on the table's value there, which also restores the row offset
+    return w * m - w // m ** (k - 1) * m**k + tables.take(w)
 
 
 def _first_iterate(tables, m, k):
-    w = np.broadcast_to(np.arange(tables.shape[1]), tables.shape)
+    w = np.arange(tables.size)
     for _ in range(k):
-        w, _ = _step(tables, w, m, k)
+        w = _step(tables, w, m, k)
     return w
 
 
-def _is_bijective(perms):
-    hit = np.zeros(perms.shape, bool)
-    np.put_along_axis(hit, perms, True, axis=1)
-    return hit.all(axis=1)
+def _is_bijective(perm, size):
+    hit = np.zeros(perm.size, bool)
+    hit[perm] = True
+    return hit.reshape(-1, size).all(axis=1)
+
+
+def _induced(tables, m, k, axis, n):
+    # the n-th power, flat: a block of m per table and frozen context, row-major
+    grid = tables.reshape(tables.shape[0], m**axis, m, m ** (k - 1 - axis))
+    maps = _flat(grid.swapaxes(2, 3).reshape(-1, m))
+    power = maps
+    for bit in bin(n)[3:]:
+        power = power.take(power)
+        if bit == "1":
+            power = maps.take(power)
+    return power
 
 
 def induced_power(tables, m, k, axis, n):
@@ -62,24 +79,17 @@ def induced_power(tables, m, k, axis, n):
 
     Binary powering from the top bit: each further bit squares the power,
     and a set bit composes one more map, so n = 2 takes one gather and
-    n = 10**9 takes 41.
+    n = 10**9 takes 41.  Each gather is one flat take over the blocks of m.
     """
-    # contexts are the arguments before and after ``axis``, in row-major order
-    grid = tables.reshape(tables.shape[0], m**axis, m, m ** (k - 1 - axis))
-    maps = grid.swapaxes(2, 3).reshape(tables.shape[0], m ** (k - 1), m)
-    power = maps
-    for bit in bin(n)[3:]:
-        power = np.take_along_axis(power, power, axis=2)
-        if bit == "1":
-            power = np.take_along_axis(maps, power, axis=2)
-    return power
+    power = _induced(tables, m, k, axis, n).reshape(tables.shape[0], m ** (k - 1), m)
+    return power - np.arange(0, power.size, m).reshape(power.shape[:2] + (1,))
 
 
 def table_perm(entries, m, k):
     """First iterate of one table as a map on state indices, and whether it
     is injective."""
-    perm = _first_iterate(entries.reshape(1, -1), m, k)
-    return perm[0], bool(_is_bijective(perm)[0])
+    perm = _first_iterate(entries, m, k)
+    return perm, bool(_is_bijective(perm, perm.size)[0])
 
 
 def involution_scan(m):
@@ -104,40 +114,46 @@ def ii_filter(tables, m, k):
     The earlier arguments need no check: ``tables.enumerate_ii_tables``
     builds each candidate from slices that are already induced-involutory
     in them."""
-    return (induced_power(tables, m, k, k - 1, 2) == np.arange(m)).all(axis=(1, 2))
+    fixed = _induced(tables, m, k, k - 1, 2) == np.arange(tables.size)
+    return fixed.reshape(tables.shape).all(axis=1)
+
+
+def _restrict(perm, states):
+    # perm on ``states``, an ascending set it maps into itself, renumbered by rank
+    rank = np.empty(perm.size, np.int64)
+    rank[states] = np.arange(states.size)
+    return rank.take(perm.take(states))
 
 
 def cycles(perm, size):
-    """Cycle labels of a flat self-map made of blocks of ``size`` states,
-    each block mapping into itself.
+    """Cycle labels of a self-map in the flat block layout, with blocks of
+    ``size`` states, each block mapping into itself.
 
     Returns, per state, the least member of its cycle (its head), the steps
     to its head and its cycle length; states on no cycle get 0 in all three.
     Trajectories enter their cycle within ``size`` steps and no cycle is
     longer.  So with R = ceil(log2 size), the cyclic states are the image of
-    perm^(2^R), found by R squarings unless perm is a bijection, and perm is
-    restricted to them.  On those, pointer doubling (Wyllie 1979): after r
-    rounds each holds the least of itself and its next 2^r - 1 successors,
-    and the steps to that state's first occurrence, so after R rounds each
-    window spans the whole cycle.
+    perm^(2^R).  Unless perm is a bijection, it is restricted to its image,
+    which holds every cycle, for the R squarings, and then to that set.  On
+    those, pointer doubling (Wyllie 1979): after r rounds each holds the
+    least of itself and its next 2^r - 1 successors, and the steps to that
+    state's first occurrence, so after R rounds each window spans its cycle.
     """
     n = perm.shape[0]
     rounds = (size - 1).bit_length()
-    states, p = np.arange(n), perm
-    if not _is_bijective(perm[None])[0]:
+    states, p = np.flatnonzero(np.bincount(perm, minlength=n)), perm  # the image
+    if states.size < n:
+        p = q = _restrict(perm, states)
         for _ in range(rounds):
-            p = p[p]
-        states = np.flatnonzero(np.bincount(p, minlength=n))
-        # rank[s] is the place of cyclic state s among the cyclic states
-        rank = np.zeros(n, np.int64)
-        rank[states] = np.arange(states.size)
-        p = rank[perm[states]]
+            q = q.take(q)
+        cyclic = np.flatnonzero(np.bincount(q, minlength=q.size))
+        states, p = states[cyclic], _restrict(p, cyclic)
     # key = state * 2**rounds + steps: the minimum is the least state, at
     # its first occurrence
     key = states << rounds
     for r in range(rounds):
-        np.minimum(key, key[p] + (1 << r), out=key)
-        p = p[p]
+        np.minimum(key, key.take(p) + (1 << r), out=key)
+        p = p.take(p)
     head = key >> rounds
     labels = head, key & ((1 << rounds) - 1), np.bincount(head)[head]
     if states.size == n:
@@ -168,16 +184,14 @@ def cycle_sweep(m, k):
     tallies = np.zeros(7, np.int64)
     for start in range(0, total, rows):
         tabs = digits(start, min(start + rows, total), m, n_states)
-        perm = _first_iterate(tabs, m, k)
-        bijective = _is_bijective(perm)
-        tabs, perm = tabs[bijective], perm[bijective]
-        offset = np.arange(0, perm.size, n_states)[:, None]
-        sigma, _ = _step(tabs, np.broadcast_to(np.arange(n_states), perm.shape), m, k)
-        n = cycles((perm + offset).ravel(), n_states)[2]
-        j = cycles((sigma + offset).ravel(), n_states)[2]
+        # sigma is a bijection exactly when its k-th power, the first iterate, is
+        keep = _is_bijective(_step(_flat(tabs), np.arange(tabs.size), m, k), n_states)
+        flat = _flat(tabs[keep])
+        n = cycles(_first_iterate(flat, m, k), n_states)[2]
+        j = cycles(_step(flat, np.arange(flat.size), m, k), n_states)[2]
         tallies += [
-            bijective.size,
-            tabs.shape[0],
+            keep.size,
+            np.count_nonzero(keep),
             n.size,
             (n != j // np.gcd(j, k)).sum(),
             (n % j == 0).sum(),

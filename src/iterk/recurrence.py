@@ -176,9 +176,8 @@ def cycle_correspondence_report(t: FiniteTable) -> CorrespondenceReport:
     relations between the two.  j is the state's cycle length under the
     one-term window shift, as in :func:`cycle_correspondence_sweep`."""
     rep = cycle_report(t)
-    windows = np.arange(t.n_states)[None]
-    shift, _ = _kernels._step(t.entries[None], windows, t.m, t.k)
-    j = _kernels.cycles(shift[0], t.n_states)[2]
+    shift = _kernels._step(t.entries, np.arange(t.n_states), t.m, t.k)
+    j = _kernels.cycles(shift, t.n_states)[2]
     rows = tuple(
         CorrespondenceRow(idx, state_from_index(idx, t.m, t.k), n, int(j[idx]))
         for idx, n in sorted(rep.per_point_period.items())
@@ -248,10 +247,10 @@ def augment_table(t: FiniteTable, target_arity: int) -> FiniteTable:
     """
     check_state_budget(t.m, target_arity)
     _check_lift(t.k, target_arity)
-    w = np.arange(t.n_states)[None]
+    w = np.arange(t.n_states)
     for _ in range(target_arity - t.k + 1):
-        w, term = _kernels._step(t.entries[None], w, t.m, t.k)
-    return FiniteTable(t.m, target_arity, np.repeat(term[0], t.m ** (target_arity - t.k)))
+        w = _kernels._step(t.entries, w, t.m, t.k)
+    return FiniteTable(t.m, target_arity, np.repeat(w % t.m, t.m ** (target_arity - t.k)))
 
 
 def _check_lift(k: int, target_arity: int) -> None:

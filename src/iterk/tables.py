@@ -14,6 +14,7 @@ than start an infeasible computation.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -28,6 +29,8 @@ from .errors import ArityError, BudgetError, ParseError
 STATE_BUDGET = 10**6
 #: Largest number of candidate tables an enumeration will generate.
 CANDIDATE_BUDGET = 10**7
+# one line of table text and its break, at every break str.splitlines knows
+_LINE = re.compile("[^{0}]*(?:\r\n|[{0}])?".format("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +502,8 @@ def loads_table(text: str) -> FiniteTable:
     walked token by token: each value by ``int``, or a :class:`ParseError`
     at the first bad token's line and column.
     """
-    lines = text.splitlines(keepends=True)
-    for ln, line in enumerate(lines, start=1):
-        stripped = line.strip()
+    for ln, line in enumerate(_LINE.finditer(text), start=1):
+        stripped = line[0].strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
@@ -517,8 +519,8 @@ def loads_table(text: str) -> FiniteTable:
         break
     else:
         raise ParseError("missing header line")
-    body = text[sum(map(len, lines[:ln])):]
-    data = enumerate(lines[ln:], start=ln + 1)  # numbered data lines
+    body = text[line.end():]
+    data = enumerate((x[0] for x in _LINE.finditer(body)), start=ln + 1)  # split when read
     if "#" in body:
         data = [(i, line) for i, line in data if not line.lstrip().startswith("#")]
         body = "".join(line for _, line in data)

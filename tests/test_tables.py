@@ -242,6 +242,19 @@ def random_self_map(rng, n, kind):
         perm = np.empty(n, np.int64)
         perm[order] = np.roll(order, -1)
         return perm
+    if kind == "path":
+        # each state steps to the one before it in a random order, down to the
+        # one fixed point: the tail is n - 1 steps, the longest there is
+        order = rng.permutation(n)
+        perm = np.empty(n, np.int64)
+        perm[order] = order[np.maximum(np.arange(n) - 1, 0)]
+        return perm
+    if kind == "lollipop":
+        # a tail of n - c states runs into a cycle of c, both about n / 2 long
+        order, c = rng.permutation(n), (n + 1) // 2
+        perm = np.empty(n, np.int64)
+        perm[order] = np.concatenate([np.roll(order[:c], -1), order[c - 1 : n - 1]])
+        return perm
     # "one-cyclic-state": a random tree, each state pointing to one earlier
     # in a random order, whose first state is the one fixed point
     order = rng.permutation(n)
@@ -251,7 +264,7 @@ def random_self_map(rng, n, kind):
 
 
 class TestCycleKernel:
-    KINDS = ["random", "bijective", "fixed", "one-cycle", "one-cyclic-state"]
+    KINDS = ["random", "bijective", "fixed", "one-cycle", "one-cyclic-state", "path", "lollipop"]
 
     @staticmethod
     def assert_matches_walk(perm, size):
@@ -279,6 +292,57 @@ class TestCycleKernel:
                 for b in range(blocks)
             ])
             self.assert_matches_walk(perm, size)
+
+
+def walked_power(g, n):
+    # g applied n times to each point, read off the point's walked orbit
+    out = []
+    for x in range(len(g)):
+        seen = {x: 0}
+        path = [x]
+        while g[path[-1]] not in seen:
+            seen[g[path[-1]]] = len(path)
+            path.append(g[path[-1]])
+        tail = seen[g[path[-1]]]
+        out.append(path[n] if n < len(path) else path[tail + (n - tail) % (len(path) - tail)])
+    return out
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 2**20 + 1])
+    def test_induced_power_matches_per_table_indexing(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(12):
+            m, k, count = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            batch = rng.integers(0, m, size=(count, m**k))
+            for axis in range(k):
+                got = _kernels.induced_power(batch, m, k, axis, n)
+                assert got.shape == (count, m ** (k - 1), m)
+                involutory = []
+                for entries, power in zip(batch, got):
+                    want = []
+                    # the induced map at each context of the other arguments, row-major
+                    for c in itertools.product(range(m), repeat=k - 1):
+                        states = (c[:axis] + (x,) + c[axis:] for x in range(m))
+                        g = [int(entries[state_index(s, m)]) for s in states]
+                        want.append(walked_power(g, n))
+                    assert power.tolist() == want
+                    involutory.append(all(row == list(range(m)) for row in want))
+                if n == 2 and axis == k - 1:  # ii_filter's check
+                    assert _kernels.ii_filter(batch, m, k).tolist() == involutory
+
+    def test_is_bijective_on_mixed_batches(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            size, count = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+            blocks = [rng.permutation(size) for _ in range(count)]
+            for block in blocks:
+                if size > 1 and rng.random() < 0.5:  # repeat one value
+                    i, j = rng.choice(size, 2, replace=False)
+                    block[i] = block[j]
+            flat = np.concatenate([b * size + block for b, block in enumerate(blocks)])
+            want = [len(set(block.tolist())) == size for block in blocks]
+            assert _kernels._is_bijective(flat, size).tolist() == want
 
 
 class TestInvolutoryPredicates:
