@@ -242,8 +242,8 @@ def augment_table(t: FiniteTable, target_arity: int) -> FiniteTable:
     """The table of :func:`augment` of ``t``, for every state at once.
 
     A lifted value depends on x1..xk alone: it is the term target_arity - k + 1
-    recurrence steps past that window, the same for each of the
-    m**(target_arity - k) values of the other arguments.
+    recurrence steps past that window, the last digit of the window then, and
+    the same for each of the m**(target_arity - k) values of the other arguments.
     """
     check_state_budget(t.m, target_arity)
     _check_lift(t.k, target_arity)
