@@ -5,8 +5,9 @@ fastest), batched as ``[N, m**k]``; :func:`digits` batches are column-major.
 The row-major index of k consecutive terms is a state index and the table
 index of the next term, so the recurrence a_{n+k} = f(a_n, ..., a_{n+k-1})
 acts on window indices as a shift register: :func:`_step` is its only
-index arithmetic, and the first iterate is k steps of it.  A batch runs in
-a flat block layout: row r of n entries holds positions r*n .. r*n + n - 1,
+index arithmetic, :func:`_shift` builds the one-term shift sigma once, and
+the first iterate is sigma**k by :func:`_power`'s squarings.  A batch runs
+in a flat block layout: row r of n entries holds positions r*n .. r*n + n - 1,
 and its values carry the same offset, so every gather is one flat take.
 """
 
@@ -48,11 +49,22 @@ def _step(tables, w, m, k):
     return w * m - w // m ** (k - 1) * m**k + tables.take(w)
 
 
+def _shift(tables, m, k):
+    return _step(tables, np.arange(tables.size), m, k)
+
+
+def _power(maps, n):
+    # maps**n for n >= 1, by binary powering from the top bit (see induced_power)
+    power = maps
+    for bit in bin(n)[3:]:
+        power = power.take(power)
+        if bit == "1":
+            power = maps.take(power)
+    return power
+
+
 def _first_iterate(tables, m, k):
-    w = np.arange(tables.size)
-    for _ in range(k):
-        w = _step(tables, w, m, k)
-    return w
+    return _power(_shift(tables, m, k), k)
 
 
 def _is_bijective(perm, size):
@@ -64,13 +76,7 @@ def _is_bijective(perm, size):
 def _induced(tables, m, k, axis, n):
     # the n-th power, flat: a block of m per table and frozen context, row-major
     grid = tables.reshape(tables.shape[0], m**axis, m, m ** (k - 1 - axis))
-    maps = _flat(grid.swapaxes(2, 3).reshape(-1, m))
-    power = maps
-    for bit in bin(n)[3:]:
-        power = power.take(power)
-        if bit == "1":
-            power = maps.take(power)
-    return power
+    return _power(_flat(grid.swapaxes(2, 3).reshape(-1, m)), n)
 
 
 def induced_power(tables, m, k, axis, n):
@@ -149,11 +155,11 @@ def cycles(perm, size):
         cyclic = np.flatnonzero(np.bincount(q, minlength=q.size))
         states, p = states[cyclic], _restrict(p, cyclic)
     # key = state * 2**rounds + steps: the minimum is the least state, at
-    # its first occurrence
+    # its first occurrence; round r reads p**(2**r), so no square is wasted
     key = states << rounds
     for r in range(rounds):
+        p = p.take(p) if r else p
         np.minimum(key, key.take(p) + (1 << r), out=key)
-        p = p.take(p)
     head = key >> rounds
     labels = head, key & ((1 << rounds) - 1), np.bincount(head)[head]
     if states.size == n:
@@ -171,7 +177,7 @@ def cycle_sweep(m, k):
     the state's period under the first iterate and j the minimal period of
     the sequence seeded there.  A purely periodic sequence repeats after d
     terms iff its window does, so j is the state's cycle length under one
-    :func:`_step`, whose k-th power is the first iterate.  Returns int64
+    :func:`_shift`, whose k-th power is the first iterate.  Returns int64
     tallies:
       [0] tables visited          [1] tables with bijective first iterate
       [2] cyclic states checked   [3] states with n != j/gcd(j,k)
@@ -185,10 +191,10 @@ def cycle_sweep(m, k):
     for start in range(0, total, rows):
         tabs = digits(start, min(start + rows, total), m, n_states)
         # sigma is a bijection exactly when its k-th power, the first iterate, is
-        keep = _is_bijective(_step(_flat(tabs), np.arange(tabs.size), m, k), n_states)
-        flat = _flat(tabs[keep])
-        n = cycles(_first_iterate(flat, m, k), n_states)[2]
-        j = cycles(_step(flat, np.arange(flat.size), m, k), n_states)[2]
+        keep = _is_bijective(_shift(_flat(tabs), m, k), n_states)
+        sigma = _shift(_flat(tabs[keep]), m, k)
+        n = cycles(_power(sigma, k), n_states)[2]
+        j = cycles(sigma, n_states)[2]
         tallies += [
             keep.size,
             np.count_nonzero(keep),

@@ -197,11 +197,18 @@ def cycle_report(t: FiniteTable, budget: int | None = None) -> CycleReport:
     head, to_head, length = _kernels.cycles(perm, perm.shape[0])
     on = np.flatnonzero(length)
     head, to_head, length = head[on], to_head[on], length[on]
-    # a cyclic state lies (length - to_head) % length steps past its head
-    order = on[np.argsort(head * perm.shape[0] + (length - to_head) % length)]
+    is_head = head == on
+    sizes = length[is_head]
+    ends = np.cumsum(sizes)
+    end = np.empty(perm.shape[0], np.int64)
+    end[on[is_head]] = ends
+    # a state to_head steps before its head sits at end - to_head; a head starts its cycle
+    pos = end[head] - to_head
+    pos[is_head] -= sizes
+    order = np.empty_like(on)
+    order[pos] = on
     states = tuple(order.tolist())
-    sizes = length[head == on]
-    bounds = [0] + np.cumsum(sizes).tolist()
+    bounds = [0] + ends.tolist()
     cycles = tuple(states[a:b] for a, b in zip(bounds, bounds[1:]))
     periods = dict(zip(states, np.repeat(sizes, sizes).tolist()))
     minimal = math.lcm(*set(sizes.tolist())) if bijective else None

@@ -344,7 +344,9 @@ class TestAugment:
         for m in range(1, 5):
             for k in range(1, 4):
                 t = FiniteTable.from_values(m, k, [rng.randrange(m) for _ in range(m**k)])
-                for to in range(k + 1, k + 4):
+                for to in range(k + 1, k + 8):
+                    if m**to > 5_000:
+                        break
                     lifted = augment(t.as_map(), to)
                     want = FiniteTable.from_function(m, to, lambda *xs: lifted.apply(xs))
                     assert augment_table(t, to) == want, (m, k, to)

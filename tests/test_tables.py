@@ -98,9 +98,11 @@ class TestAsPermutation:
     def test_kernel_agrees_with_engine(self):
         from iterk._kernels import table_perm
 
+        # k up to 9 runs the powering through every bit pattern up to 1001
         rng = random.Random(7)
-        for _ in range(25):
-            m, k = rng.randint(2, 4), rng.randint(1, 3)
+        for m, k in itertools.product(range(1, 5), range(1, 10)):
+            if m**k > 5_000:
+                continue
             t = FiniteTable.from_values(
                 m, k, [rng.randrange(m) for _ in range(m**k)]
             )
@@ -330,6 +332,21 @@ class TestBatchedKernels:
                     involutory.append(all(row == list(range(m)) for row in want))
                 if n == 2 and axis == k - 1:  # ii_filter's check
                     assert _kernels.ii_filter(batch, m, k).tolist() == involutory
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_first_iterate_matches_k_steps_per_table(self, k):
+        rng = np.random.default_rng(k)
+        for m in range(2, 5):
+            if m**k > 5_000:
+                break
+            batch = rng.integers(0, m, size=(int(rng.integers(2, 6)), m**k))
+            got = _kernels._first_iterate(_kernels._flat(batch), m, k).reshape(batch.shape)
+            for block, (entries, perm) in enumerate(zip(batch, got)):
+                # the reference: k one-term steps of the window on this table alone
+                w = np.arange(m**k)
+                for _ in range(k):
+                    w = _kernels._step(entries, w, m, k)
+                assert (perm - block * m**k).tolist() == w.tolist(), (m, k, block)
 
     def test_is_bijective_on_mixed_batches(self):
         rng = np.random.default_rng(7)
