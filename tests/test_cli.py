@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import iterk
 from iterk.cli import main
 from iterk.tables import FiniteTable, cycle_report, dumps_table, loads_table
 
@@ -249,6 +251,25 @@ class TestEnumerationCommands:
     def test_claim1_needs_input(self, capsys):
         code, _, err = run_cli(capsys, "claim1")
         assert code == 2
+
+
+# stdout of `cycles` and `claim1`, byte for byte, keyed by the command line;
+# a table named there is a packaged one or SEEDED_M4
+PINNED_STDOUT = json.loads((Path(__file__).parent / "cli_stdout.json").read_text())
+# a table on 4 symbols whose first iterate is not bijective: cycles of 3, 3
+# and 1 states, nine states on none, and sequence periods that do not all divide n
+SEEDED_M4 = FiniteTable.from_values(4, 2, [2, 0, 1, 2, 0, 3, 3, 1, 0, 3, 0, 1, 0, 0, 1, 3])
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_is_pinned(capsys, tmp_path, command):
+    (tmp_path / "seeded_m4.tbl").write_text(dumps_table(SEEDED_M4))
+    data = Path(iterk.__file__).parent / "data"
+    argv = [
+        str(tmp_path / arg if arg == "seeded_m4.tbl" else data / arg) if arg.endswith(".tbl") else arg
+        for arg in command.split()
+    ]
+    assert run_cli(capsys, *argv) == (0, PINNED_STDOUT[command], "")
 
 
 class TestTransforms:
