@@ -177,8 +177,8 @@ def cycle_sweep(m, k):
     the state's period under the first iterate and j the minimal period of
     the sequence seeded there.  A purely periodic sequence repeats after d
     terms iff its window does, so j is the state's cycle length under one
-    :func:`_shift`, whose k-th power is the first iterate.  Returns int64
-    tallies:
+    :func:`_shift`, whose k-th power is the first iterate.  The relations
+    are :func:`claim1`'s masks, summed.  Returns int64 tallies:
       [0] tables visited          [1] tables with bijective first iterate
       [2] cyclic states checked   [3] states with n != j/gcd(j,k)
       [4] states with j | n       [5] states with j not dividing n
@@ -194,14 +194,13 @@ def cycle_sweep(m, k):
         keep = _is_bijective(_shift(_flat(tabs), m, k), n_states)
         sigma = _shift(_flat(tabs[keep]), m, k)
         n = cycles(_power(sigma, k), n_states)[2]
-        j = cycles(sigma, n_states)[2]
-        tallies += [
-            keep.size,
-            np.count_nonzero(keep),
-            n.size,
-            (n != j // np.gcd(j, k)).sum(),
-            (n % j == 0).sum(),
-            (n % j != 0).sum(),
-            (n * k % j != 0).sum(),
-        ]
+        direction1, j_n, j_nk = claim1(n, cycles(sigma, n_states)[2], k)
+        found = ~direction1, j_n, ~j_n, ~j_nk
+        tallies += [keep.size, np.count_nonzero(keep), n.size, *map(np.count_nonzero, found)]
     return tallies
+
+
+def claim1(n, j, k):
+    """The claim-1 relations between state periods n and sequence periods j
+    at arity k, as masks: n == j/gcd(j, k), j | n and j | n*k."""
+    return n == j // np.gcd(j, k), n % j == 0, n * k % j == 0

@@ -41,8 +41,7 @@ def _emit(args, text_lines, payload) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in text_lines:
-            print(line)
+        sys.stdout.write("".join(line + "\n" for line in text_lines))
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +167,22 @@ def _cmd_symmetric(args) -> int:
 
 def _cmd_cycles(args) -> int:
     rep = iterk.tables.cycle_report(_load(args))
+    lengths = rep.cycle_lengths
     lines = [
         f"bijective: {'true' if rep.bijective else 'false'}",
         f"minimal_order: {rep.minimal_order if rep.minimal_order else 'none'}",
-        "cycle_lengths: " + " ".join(str(n) for n in rep.cycle_lengths),
+        "cycle_lengths: " + " ".join(map(str, lengths)),
     ]
-    for cyc in rep.cycles:
-        lines.append("cycle: " + " ".join(str(i) for i in cyc))
+    lines += ["cycle: " + " ".join(map(str, cyc)) for cyc in rep.cycles]
+    # json writes a tuple as an array, so the report's tuples go in as they are
     _emit(
         args,
         lines,
         {
             "bijective": rep.bijective,
             "minimal_order": rep.minimal_order,
-            "cycle_lengths": list(rep.cycle_lengths),
-            "cycles": [list(c) for c in rep.cycles],
+            "cycle_lengths": lengths,
+            "cycles": rep.cycles,
         },
     )
     return EXIT_OK
@@ -234,18 +234,8 @@ def _cmd_claim1(args) -> int:
         )
         payload = {
             "bijective": rep.bijective,
-            "rows": [
-                {
-                    "state_index": r.state_index,
-                    "state": list(r.state),
-                    "state_period": r.state_period,
-                    "sequence_period": r.sequence_period,
-                    "direction1_ok": r.direction1_ok,
-                    "j_divides_n": r.j_divides_n,
-                    "j_divides_nk": r.j_divides_nk,
-                }
-                for r in rep.rows
-            ],
+            # a row's fields are its keys, and json writes its state tuple as an array
+            "rows": [vars(r) for r in rep.rows],
             "direction1_violations": rep.direction1_violations,
             "j_divides_nk_violations": rep.j_divides_nk_violations,
         }

@@ -7,8 +7,10 @@ positions nk+1 .. nk+k (1-based) of the generated sequence equal the n-th
 iterate of the seed.  For a state s whose orbit under the first iterate is a
 cycle of length n, the seeded sequence is purely periodic and its minimal
 period j divides n*k; the checker records how j relates to n (j | n versus
-j | n*k) rather than asserting one reading, and separately verifies
-n = j / gcd(j, k).
+j | n*k) rather than asserting one reading, and separately checks claim 1's
+first direction, which gives n from j and k.  The three relations are written
+once, as ``_kernels.claim1``'s masks, for one table's report and for the
+all-tables sweep alike.
 
 One rule gives every sequence period: the terms repeat after d steps exactly
 when their k-term window does.  :func:`detect_minimal_period` walks the
@@ -18,8 +20,8 @@ off as the seed's cycle length under the same one-term window shift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -122,28 +124,17 @@ def detect_minimal_period(
 
 @dataclass(frozen=True)
 class CorrespondenceRow:
-    """Measurements for one cyclic state of a finite table."""
+    """Measurements for one cyclic state of a finite table: its period n,
+    the period j of the sequence seeded there, and the claim-1 relations."""
 
     state_index: int
     state: tuple[int, ...]
     state_period: int
     sequence_period: int
-
-    @property
-    def direction1_ok(self) -> bool:
-        # state period equals sequence period / gcd(sequence period, k)
-        k = len(self.state)
-        return self.state_period == self.sequence_period // math.gcd(
-            self.sequence_period, k
-        )
-
-    @property
-    def j_divides_n(self) -> bool:
-        return self.state_period % self.sequence_period == 0
-
-    @property
-    def j_divides_nk(self) -> bool:
-        return (self.state_period * len(self.state)) % self.sequence_period == 0
+    # the claim-1 relations: this state's entries of _kernels.claim1's masks
+    direction1_ok: bool
+    j_divides_n: bool
+    j_divides_nk: bool
 
 
 @dataclass(frozen=True)
@@ -173,13 +164,21 @@ class CorrespondenceReport:
 def cycle_correspondence_report(t: FiniteTable) -> CorrespondenceReport:
     """For every state on a cycle of the first iterate: its state period n,
     the minimal period j of the sequence seeded there, and the divisibility
-    relations between the two.  j is the state's cycle length under the
-    one-term window shift, as in :func:`cycle_correspondence_sweep`."""
+    relations between the two, one row per state in ascending index order.
+    n is read off the report's cycles; j is the state's cycle length under
+    the one-term window shift, and the relations come from the same masks,
+    as in :func:`cycle_correspondence_sweep`."""
     rep = cycle_report(t)
-    j = _kernels.cycles(_kernels._shift(t.entries, t.m, t.k), t.n_states)[2]
+    sizes = [len(c) for c in rep.cycles]
+    n = np.zeros(t.n_states, np.int64)
+    n[np.fromiter(chain.from_iterable(rep.cycles), np.int64)] = np.repeat(sizes, sizes)
+    idx = np.flatnonzero(n)
+    n = n[idx]
+    j = _kernels.cycles(_kernels._shift(t.entries, t.m, t.k), t.n_states)[2][idx]
+    columns = n, j, *_kernels.claim1(n, j, t.k)
     rows = tuple(
-        CorrespondenceRow(idx, state_from_index(idx, t.m, t.k), n, int(j[idx]))
-        for idx, n in sorted(rep.per_point_period.items())
+        CorrespondenceRow(i, state_from_index(i, t.m, t.k), *row)
+        for i, *row in zip(idx.tolist(), *(c.tolist() for c in columns))
     )
     return CorrespondenceReport(rep.bijective, rows)
 

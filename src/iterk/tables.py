@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -163,16 +163,24 @@ class CycleReport:
     n with the n-th iterate equal to the identity.  Otherwise no positive
     involutory order exists: ``minimal_order`` is None and ``cycles`` lists
     only the genuinely cyclic states.
+
+    ``cycles`` is the one stored form of the decomposition: ``cycle_lengths``
+    and ``per_point_period`` are derived from it on each access, so equality
+    and the repr show the three fields alone.
     """
 
     bijective: bool
     cycles: tuple[tuple[int, ...], ...]
     minimal_order: int | None
-    per_point_period: dict[int, int] = field(compare=False)
 
     @property
     def cycle_lengths(self) -> tuple[int, ...]:
         return tuple(sorted((len(c) for c in self.cycles), reverse=True))
+
+    @property
+    def per_point_period(self) -> dict[int, int]:
+        """Each cyclic state's period, its cycle's length, in cycle order."""
+        return {s: len(c) for c in self.cycles for s in c}
 
 
 def _first_iterate(t: FiniteTable, budget: int | None = None) -> tuple[np.ndarray, bool]:
@@ -210,9 +218,8 @@ def cycle_report(t: FiniteTable, budget: int | None = None) -> CycleReport:
     states = tuple(order.tolist())
     bounds = [0] + ends.tolist()
     cycles = tuple(states[a:b] for a, b in zip(bounds, bounds[1:]))
-    periods = dict(zip(states, np.repeat(sizes, sizes).tolist()))
     minimal = math.lcm(*set(sizes.tolist())) if bijective else None
-    return CycleReport(bijective, cycles, minimal, periods)
+    return CycleReport(bijective, cycles, minimal)
 
 
 def is_n_involutory(t: FiniteTable, n: int, budget: int | None = None) -> bool:

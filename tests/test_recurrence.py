@@ -1,5 +1,6 @@
 """Sequence generation, period detection, and the period correspondence."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -238,6 +239,11 @@ class TestCorrespondenceReport:
             ]
             assert got == want
             assert rep.bijective == (len(want) == size)
+            for r in rep.rows:
+                n, j = r.state_period, r.sequence_period
+                assert (r.direction1_ok, r.j_divides_n, r.j_divides_nk) == (
+                    n == j // math.gcd(j, k), n % j == 0, n * k % j == 0
+                )
 
 
 class TestFixedPointStructure:

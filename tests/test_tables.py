@@ -207,9 +207,9 @@ class TestCycleReport:
                         cycles[-1].append(int(perm[cycles[-1][-1]]))
             periods = {s: length for s, (_, _, length) in enumerate(labels) if length}
             order = math.lcm(*map(len, cycles)) if bijective else None
-            want = tables.CycleReport(bijective, tuple(map(tuple, cycles)), order, periods)
+            want = tables.CycleReport(bijective, tuple(map(tuple, cycles)), order)
             rep = cycle_report(t)
-            assert rep == want and rep.per_point_period == want.per_point_period
+            assert rep == want and rep.per_point_period == periods
 
 
 def walked_cycle_labels(perm):
