@@ -254,19 +254,30 @@ class TestEnumerationCommands:
 
 
 # stdout of `cycles` and `claim1`, byte for byte, keyed by the command line;
-# a table named there is a packaged one or SEEDED_M4
+# a table named there is a packaged one or one of WRITTEN_TABLES
 PINNED_STDOUT = json.loads((Path(__file__).parent / "cli_stdout.json").read_text())
-# a table on 4 symbols whose first iterate is not bijective: cycles of 3, 3
-# and 1 states, nine states on none, and sequence periods that do not all divide n
-SEEDED_M4 = FiniteTable.from_values(4, 2, [2, 0, 1, 2, 0, 3, 3, 1, 0, 3, 0, 1, 0, 0, 1, 3])
+WRITTEN_TABLES = {
+    # 4 symbols, first iterate not bijective: cycles of 3, 3 and 1 states,
+    # nine states on none, and sequence periods that do not all divide n
+    "seeded_m4.tbl": FiniteTable.from_values(
+        4, 2, [2, 0, 1, 2, 0, 3, 3, 1, 0, 3, 0, 1, 0, 0, 1, 3]
+    ),
+    # k = 1, so each state prints as a one-tuple: cycles of 3, 2 and 1 and a tail
+    "seeded_k1.tbl": FiniteTable.from_values(7, 1, [1, 2, 0, 4, 3, 3, 6]),
+    # k = 3 on 3 symbols: cycles of 5, 2 and six fixed points, 14 states on none
+    "seeded_k3.tbl": FiniteTable.from_values(
+        3, 3, [0, 0, 0, 1, 2, 0, 1, 0, 2, 0, 0, 1, 2, 1, 0, 2, 2, 1, 1, 2, 0, 2, 0, 2, 0, 1, 2]
+    ),
+}
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
 def test_stdout_is_pinned(capsys, tmp_path, command):
-    (tmp_path / "seeded_m4.tbl").write_text(dumps_table(SEEDED_M4))
+    for name, table in WRITTEN_TABLES.items():
+        (tmp_path / name).write_text(dumps_table(table))
     data = Path(iterk.__file__).parent / "data"
     argv = [
-        str(tmp_path / arg if arg == "seeded_m4.tbl" else data / arg) if arg.endswith(".tbl") else arg
+        str(tmp_path / arg if arg in WRITTEN_TABLES else data / arg) if arg.endswith(".tbl") else arg
         for arg in command.split()
     ]
     assert run_cli(capsys, *argv) == (0, PINNED_STDOUT[command], "")
