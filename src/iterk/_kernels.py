@@ -54,7 +54,9 @@ def _shift(tables, m, k):
 
 
 def _power(maps, n):
-    # maps**n for n >= 1, by binary powering from the top bit (see induced_power)
+    # maps**n for n >= 1, by binary powering from the top bit: each further
+    # bit squares the power and a set bit composes one more map, so n = 2
+    # takes one gather and n = 10**9 takes 41
     power = maps
     for bit in bin(n)[3:]:
         power = power.take(power)
@@ -77,18 +79,6 @@ def _induced(tables, m, k, axis, n):
     # the n-th power, flat: a block of m per table and frozen context, row-major
     grid = tables.reshape(tables.shape[0], m**axis, m, m ** (k - 1 - axis))
     return _power(_flat(grid.swapaxes(2, 3).reshape(-1, m)), n)
-
-
-def induced_power(tables, m, k, axis, n):
-    """n-th power of the self-maps that ``tables`` induce in argument ``axis``
-    (0-based), as ``[N, m**(k-1), m]`` with one row per frozen context.
-
-    Binary powering from the top bit: each further bit squares the power,
-    and a set bit composes one more map, so n = 2 takes one gather and
-    n = 10**9 takes 41.  Each gather is one flat take over the blocks of m.
-    """
-    power = _induced(tables, m, k, axis, n).reshape(tables.shape[0], m ** (k - 1), m)
-    return power - np.arange(0, power.size, m).reshape(power.shape[:2] + (1,))
 
 
 def table_perm(entries, m, k):

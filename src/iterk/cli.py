@@ -4,8 +4,9 @@ One subcommand per analysis; maps come in either as a definition string
 (``--def "f(x1,x2) = x1 + x2"``) or as a table file (``--table path``).
 Exit codes: 0 success, 1 verification failure (including a false answer
 from a predicate subcommand), 2 usage or parse errors, 3 exceeded resource
-budgets.  ``--json`` switches to a stable machine-readable encoding; all
-output is deterministic for identical inputs.
+budgets, 141 a write to stdout whose reader closed the pipe.  ``--json``
+switches to a stable machine-readable encoding; all output is deterministic
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 # every iterk module is reached as an attribute of the package, which imports
@@ -26,6 +28,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+# 128 + SIGPIPE, what a shell reports for a tool that a closed pipe stops
+EXIT_PIPE = 141
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +41,12 @@ def _render_state(state) -> str:
     return sep.join(parts)
 
 
-def _emit(args, text_lines, payload) -> None:
+def _emit(args, text, payload) -> None:
+    # both forms are zero-argument callables, and only the printed one is built
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        sys.stdout.write("".join(line + "\n" for line in text_lines))
+        sys.stdout.write("".join(line + "\n" for line in text()))
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +116,17 @@ def _cmd_iterate(args) -> int:
         result = iterk.tables.table_iterate(src, seed, args.n)
     else:
         result = iterk.engine.iterate(fmap, seed, args.n)
-    _emit(args, [_render_state(result)], {"state": [str(v) for v in result]})
+    _emit(args, lambda: [_render_state(result)], lambda: {"state": [str(v) for v in result]})
     return EXIT_OK
 
 
 def _cmd_orbit(args) -> int:
     orb = iterk.engine.orbit(*_seed(args, _load(args)), args.max_steps)
-    lines = [_render_state(s) for s in orb.states]
-    lines.append(f"recurred: {'true' if orb.recurred else 'false'}")
     _emit(
         args,
-        lines,
-        {
+        lambda: [_render_state(s) for s in orb.states]
+        + [f"recurred: {'true' if orb.recurred else 'false'}"],
+        lambda: {
             "states": [[str(v) for v in s] for s in orb.states],
             "recurred": orb.recurred,
         },
@@ -137,7 +141,7 @@ def _cmd_order(args) -> int:
     else:
         it = iterk.affine.build_first_iterate(iterk.parser.to_affine(src))
         order = iterk.affine.affine_involutory_order(it, args.bound)
-    _emit(args, [str(order) if order else "none"], {"minimal_order": order})
+    _emit(args, lambda: [str(order) if order else "none"], lambda: {"minimal_order": order})
     return EXIT_OK
 
 
@@ -149,39 +153,37 @@ def _cmd_point_order(args) -> int:
         order = iterk.tables.table_point_order(src, seed)
     else:
         order = iterk.engine.point_involutory_order(fmap, seed, args.bound)
-    _emit(args, [str(order) if order else "none"], {"point_order": order})
+    _emit(args, lambda: [str(order) if order else "none"], lambda: {"point_order": order})
     return EXIT_OK
 
 
 def _cmd_check_ii(args) -> int:
     flag = iterk.tables.is_induced_involutory(_load(args), args.n, args.arg)
-    _emit(args, ["true" if flag else "false"], {"induced_involutory": flag})
+    _emit(args, lambda: ["true" if flag else "false"], lambda: {"induced_involutory": flag})
     return EXIT_OK if flag else EXIT_VERIFY
 
 
 def _cmd_symmetric(args) -> int:
     flag = iterk.tables.is_symmetric(_load(args))
-    _emit(args, ["true" if flag else "false"], {"symmetric": flag})
+    _emit(args, lambda: ["true" if flag else "false"], lambda: {"symmetric": flag})
     return EXIT_OK if flag else EXIT_VERIFY
 
 
 def _cmd_cycles(args) -> int:
     rep = iterk.tables.cycle_report(_load(args))
-    lengths = rep.cycle_lengths
-    lines = [
-        f"bijective: {'true' if rep.bijective else 'false'}",
-        f"minimal_order: {rep.minimal_order if rep.minimal_order else 'none'}",
-        "cycle_lengths: " + " ".join(map(str, lengths)),
-    ]
-    lines += ["cycle: " + " ".join(map(str, cyc)) for cyc in rep.cycles]
     # json writes a tuple as an array, so the report's tuples go in as they are
     _emit(
         args,
-        lines,
-        {
+        lambda: [
+            f"bijective: {'true' if rep.bijective else 'false'}",
+            f"minimal_order: {rep.minimal_order if rep.minimal_order else 'none'}",
+            "cycle_lengths: " + " ".join(map(str, rep.cycle_lengths)),
+            *("cycle: " + " ".join(map(str, cyc)) for cyc in rep.cycles),
+        ],
+        lambda: {
             "bijective": rep.bijective,
             "minimal_order": rep.minimal_order,
-            "cycle_lengths": lengths,
+            "cycle_lengths": rep.cycle_lengths,
             "cycles": rep.cycles,
         },
     )
@@ -190,12 +192,10 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_enumerate_ii(args) -> int:
     found = list(iterk.tables.enumerate_ii_tables(args.m, args.k))
-    lines = [f"count: {len(found)}"]
-    lines += [" ".join(str(v) for v in t.values()) for t in found]
     _emit(
         args,
-        lines,
-        {"count": len(found), "tables": [list(t.values()) for t in found]},
+        lambda: [f"count: {len(found)}"] + [" ".join(map(str, t.values())) for t in found],
+        lambda: {"count": len(found), "tables": [list(t.values()) for t in found]},
     )
     return EXIT_OK
 
@@ -207,7 +207,7 @@ def _cmd_count_involutions(args) -> int:
         if brute != count:
             print(f"recursion {count} != brute force {brute}", file=sys.stderr)
             return EXIT_VERIFY
-    _emit(args, [str(count)], {"count": count})
+    _emit(args, lambda: [str(count)], lambda: {"count": count})
     return EXIT_OK
 
 
@@ -217,41 +217,39 @@ def _cmd_claim1(args) -> int:
         raise ValueError("claim1 needs either --table or both --m and --k")
     if args.table is not None:
         rep = iterk.recurrence.cycle_correspondence_report(_load(args))
-        lines = [f"bijective: {'true' if rep.bijective else 'false'}"]
-        for row in rep.rows:
-            lines.append(
-                f"state {row.state_index} {row.state}: n={row.state_period}"
-                f" j={row.sequence_period}"
-                f" dir1={'ok' if row.direction1_ok else 'VIOLATED'}"
-                f" j|n={'yes' if row.j_divides_n else 'no'}"
-                f" j|nk={'yes' if row.j_divides_nk else 'NO'}"
-            )
-        lines.append(
-            f"states: {rep.states_checked}"
-            f" dir1_violations: {rep.direction1_violations}"
-            f" j_divides_n: {rep.j_divides_n_count}"
-            f" jnk_violations: {rep.j_divides_nk_violations}"
+        cols = rep.columns()
+        _emit(
+            args,
+            lambda: [
+                f"bijective: {'true' if rep.bijective else 'false'}",
+                *(
+                    f"state {i} {s}: n={n} j={j}"
+                    f" dir1={'ok' if d1 else 'VIOLATED'}"
+                    f" j|n={'yes' if jn else 'no'}"
+                    f" j|nk={'yes' if jnk else 'NO'}"
+                    for i, s, n, j, d1, jn, jnk in zip(*cols.values())
+                ),
+                f"states: {rep.states_checked}"
+                f" dir1_violations: {rep.direction1_violations}"
+                f" j_divides_n: {rep.j_divides_n_count}"
+                f" jnk_violations: {rep.j_divides_nk_violations}",
+            ],
+            lambda: {
+                "bijective": rep.bijective,
+                # a row's fields are its keys, and json writes its state tuple as an array
+                "rows": [dict(zip(cols, row)) for row in zip(*cols.values())],
+                "direction1_violations": rep.direction1_violations,
+                "j_divides_nk_violations": rep.j_divides_nk_violations,
+            },
         )
-        payload = {
-            "bijective": rep.bijective,
-            # a row's fields are its keys, and json writes its state tuple as an array
-            "rows": [vars(r) for r in rep.rows],
-            "direction1_violations": rep.direction1_violations,
-            "j_divides_nk_violations": rep.j_divides_nk_violations,
-        }
-        _emit(args, lines, payload)
         return EXIT_OK
-    sweep = iterk.recurrence.cycle_correspondence_sweep(args.m, args.k)
-    lines = [
-        f"tables: {sweep.tables}",
-        f"bijective_tables: {sweep.bijective_tables}",
-        f"cyclic_states: {sweep.cyclic_states}",
-        f"direction1_violations: {sweep.direction1_violations}",
-        f"j_divides_n: {sweep.j_divides_n_count}",
-        f"j_divides_n_failures: {sweep.j_divides_n_failures}",
-        f"j_divides_nk_violations: {sweep.j_divides_nk_violations}",
-    ]
-    _emit(args, lines, dataclasses.asdict(sweep))
+    sweep = dataclasses.asdict(iterk.recurrence.cycle_correspondence_sweep(args.m, args.k))
+    # the text form lists the tallies after m and k, each named by its field less "_count"
+    _emit(
+        args,
+        lambda: [f"{name.removesuffix('_count')}: {v}" for name, v in list(sweep.items())[2:]],
+        lambda: sweep,
+    )
     return EXIT_OK
 
 
@@ -263,24 +261,23 @@ def _cmd_augment(args) -> int:
         lifted = iterk.recurrence.augment_table(src, args.to)
         _emit(
             args,
-            [iterk.tables.dumps_table(lifted).rstrip("\n")],
-            {"m": src.m, "k": args.to, "entries": list(lifted.values())},
+            lambda: [iterk.tables.dumps_table(lifted).rstrip("\n")],
+            lambda: {"m": src.m, "k": args.to, "entries": list(lifted.values())},
         )
         return EXIT_OK
     fmap, seed = _seed(args, src, args.to)
     result = fmap.apply(seed)
-    _emit(args, [str(result)], {"value": str(result)})
+    _emit(args, lambda: [str(result)], lambda: {"value": str(result)})
     return EXIT_OK
 
 
 def _cmd_conjugate(args) -> int:
     t = _load(args)
     conj = iterk.tables.conjugate(t, _perm_arg(args.perm, t.m))
-    text = iterk.tables.dumps_table(conj)
     _emit(
         args,
-        [text.rstrip("\n")],
-        {"m": conj.m, "k": conj.k, "entries": list(conj.values())},
+        lambda: [iterk.tables.dumps_table(conj).rstrip("\n")],
+        lambda: {"m": conj.m, "k": conj.k, "entries": list(conj.values())},
     )
     return EXIT_OK
 
@@ -411,19 +408,12 @@ def _cmd_verify_examples(args) -> int:
         ok, detail = fn()
         results.append((name, ok, detail))
     failures = [name for name, ok, _ in results if not ok]
-    lines = [
-        f"{'ok' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results
-    ]
-    lines.append(
-        f"{len(results) - len(failures)}/{len(results)} checks passed"
-    )
     _emit(
         args,
-        lines,
-        {
-            "checks": [
-                {"name": n, "ok": ok, "detail": d} for n, ok, d in results
-            ],
+        lambda: [f"{'ok' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
+        + [f"{len(results) - len(failures)}/{len(results)} checks passed"],
+        lambda: {
+            "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in results],
             "failures": failures,
         },
     )
@@ -532,7 +522,14 @@ def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: stdout goes to devnull, so the flush at exit stays quiet
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

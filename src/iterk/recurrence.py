@@ -20,7 +20,7 @@ off as the seed's cycle length under the same one-term window shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .engine import Element, KaryMap, iterate as engine_iterate
 from .errors import ArityError, BudgetError
-from .tables import FiniteTable, check_state_budget, cycle_report, state_from_index, tables_exceed
+from .tables import FiniteTable, check_state_budget, cycle_report, tables_exceed
 
 #: Largest number of tables a full sweep will visit.
 SWEEP_BUDGET = 10**7
@@ -137,36 +137,53 @@ class CorrespondenceRow:
     j_divides_nk: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrespondenceReport:
-    """Per-state rows plus tallies for one table."""
+    """One table's cyclic states in ascending index order, as one array per
+    :class:`CorrespondenceRow` field in the same order (``state`` is [S, k]
+    digits); the rows and the tallies are read off them."""
 
     bijective: bool
-    rows: tuple[CorrespondenceRow, ...]
+    state_index: np.ndarray
+    state: np.ndarray
+    state_period: np.ndarray
+    sequence_period: np.ndarray
+    direction1_ok: np.ndarray
+    j_divides_n: np.ndarray
+    j_divides_nk: np.ndarray
+
+    def columns(self) -> dict[str, list]:
+        """The columns as Python lists by field name in row order, states as tuples."""
+        cols = {f.name: getattr(self, f.name).tolist() for f in fields(CorrespondenceRow)}
+        cols["state"] = list(map(tuple, cols["state"]))
+        return cols
+
+    @property
+    def rows(self) -> tuple[CorrespondenceRow, ...]:
+        return tuple(map(CorrespondenceRow, *self.columns().values()))
 
     @property
     def states_checked(self) -> int:
-        return len(self.rows)
+        return self.state_index.size
 
     @property
     def direction1_violations(self) -> int:
-        return sum(not r.direction1_ok for r in self.rows)
+        return self.states_checked - int(np.count_nonzero(self.direction1_ok))
 
     @property
     def j_divides_n_count(self) -> int:
-        return sum(r.j_divides_n for r in self.rows)
+        return int(np.count_nonzero(self.j_divides_n))
 
     @property
     def j_divides_nk_violations(self) -> int:
-        return sum(not r.j_divides_nk for r in self.rows)
+        return self.states_checked - int(np.count_nonzero(self.j_divides_nk))
 
 
 def cycle_correspondence_report(t: FiniteTable) -> CorrespondenceReport:
-    """For every state on a cycle of the first iterate: its state period n,
-    the minimal period j of the sequence seeded there, and the divisibility
-    relations between the two, one row per state in ascending index order.
-    n is read off the report's cycles; j is the state's cycle length under
-    the one-term window shift, and the relations come from the same masks,
+    """For every state on a cycle of the first iterate, as columns in ascending
+    index order: its state period n, read off the report's cycles; the period j
+    of the sequence seeded there, its cycle length under the one-term window
+    shift; and the claim-1 relations between them, ``_kernels.claim1``'s masks
     as in :func:`cycle_correspondence_sweep`."""
     rep = cycle_report(t)
     sizes = [len(c) for c in rep.cycles]
@@ -175,12 +192,8 @@ def cycle_correspondence_report(t: FiniteTable) -> CorrespondenceReport:
     idx = np.flatnonzero(n)
     n = n[idx]
     j = _kernels.cycles(_kernels._shift(t.entries, t.m, t.k), t.n_states)[2][idx]
-    columns = n, j, *_kernels.claim1(n, j, t.k)
-    rows = tuple(
-        CorrespondenceRow(i, state_from_index(i, t.m, t.k), *row)
-        for i, *row in zip(idx.tolist(), *(c.tolist() for c in columns))
-    )
-    return CorrespondenceReport(rep.bijective, rows)
+    state = idx[:, None] // t.m ** np.arange(t.k - 1, -1, -1) % t.m
+    return CorrespondenceReport(rep.bijective, idx, state, n, j, *_kernels.claim1(n, j, t.k))
 
 
 @dataclass(frozen=True)

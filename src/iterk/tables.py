@@ -284,7 +284,7 @@ def is_induced_involutory(
     check_state_budget(t.m, t.k, budget)
     positions = [j - 1] if j is not None else range(t.k)
     return all(
-        (_kernels.induced_power(t.entries[None], t.m, t.k, pos, n) == np.arange(t.m)).all()
+        (_kernels._induced(t.entries[None], t.m, t.k, pos, n) == np.arange(t.n_states)).all()
         for pos in positions
     )
 

@@ -1,6 +1,7 @@
 """Command-line surface: output text, JSON stability, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import iterk
-from iterk.cli import main
-from iterk.tables import FiniteTable, cycle_report, dumps_table, loads_table
+from iterk.cli import EXIT_OK, EXIT_PIPE, main
+from iterk.tables import FiniteTable, cycle_report, dumps_table, hat_id, loads_table
 
 ADD_MOD3 = FiniteTable.from_values(3, 2, [0, 1, 2, 1, 2, 0, 2, 0, 1])
 II3_M4 = FiniteTable.from_values(
@@ -381,6 +382,38 @@ class TestVerifyExamples:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["failures"] == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        # far larger than a pipe's buffer, so the reader leaves with most of it unwritten
+        (["claim1", "--table", "hat.tbl"], 10),
+        (["claim1", "--table", "hat.tbl", "--json"], 10),
+        # the reader leaves first, so a buffered report fails only when flushed
+        (["count-involutions", "--m", "3"], 0),
+    ],
+)
+def test_closed_output_pipe_is_not_a_usage_error(tmp_path, argv, read, unbuffered):
+    # one unbuffered write that ends short is no error, so 0 is allowed as well
+    (tmp_path / "hat.tbl").write_text(dumps_table(hat_id(4, 6)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [str(tmp_path / a) if a == "hat.tbl" else a for a in argv]
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "iterk", *argv],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=env,
+        )
+        proc.stdout.read(read)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        assert (err.read(), code in (EXIT_OK, EXIT_PIPE)) == ("", True)
 
 
 CLAIM1_USAGE = "claim1 needs either --table or both --m and --k"

@@ -244,6 +244,15 @@ class TestCorrespondenceReport:
                 assert (r.direction1_ok, r.j_divides_n, r.j_divides_nk) == (
                     n == j // math.gcd(j, k), n % j == 0, n * k % j == 0
                 )
+            tallies = (
+                rep.states_checked, rep.direction1_violations,
+                rep.j_divides_n_count, rep.j_divides_nk_violations,
+            )
+            assert [type(v) for v in tallies] == [int] * 4
+            assert tallies == (
+                len(rep.rows), sum(not r.direction1_ok for r in rep.rows),
+                sum(r.j_divides_n for r in rep.rows), sum(not r.j_divides_nk for r in rep.rows),
+            )
 
 
 class TestFixedPointStructure:
