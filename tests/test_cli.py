@@ -1,5 +1,6 @@
 """Command-line surface: output text, JSON stability, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import iterk
-from iterk.cli import EXIT_OK, EXIT_PIPE, main
+from iterk.cli import EXIT_OK, EXIT_PIPE, build_arg_parser, main
 from iterk.tables import FiniteTable, cycle_report, dumps_table, hat_id, loads_table
 
 ADD_MOD3 = FiniteTable.from_values(3, 2, [0, 1, 2, 1, 2, 0, 2, 0, 1])
@@ -488,3 +489,91 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "cycles", "--table", str(p))
         assert code == 3 and "1000000**1000000 states" in err
         assert time.perf_counter() - start < 1.0
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = (a for a in build_arg_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _option(action) -> str:
+    token = action.option_strings[0]
+    if action.dest != token.lstrip("-").replace("-", "_"):
+        token += ">" + action.dest
+    token += ":flag" if action.nargs == 0 else ":int" if action.type is int else ""
+    if action.default is not None and not (action.nargs == 0 and action.default is False):
+        token += f"={action.default}"
+    return token + ("!" if action.required else "")
+
+
+def _surface(parser) -> str:
+    """A subcommand's options in declaration order: --flag, then >dest when
+    it is not the flag's own name, :int or :flag, =default and ! when
+    required; a mutually exclusive group is (a | b), ! when one is required."""
+    groups = {id(a): g for g in parser._mutually_exclusive_groups for a in g._group_actions}
+    tokens, done = [], set()
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction) or id(action) in done:
+            continue
+        group = groups.get(id(action))
+        if group is None:
+            tokens.append(_option(action))
+            continue
+        done.update(id(a) for a in group._group_actions)
+        members = " | ".join(_option(a) for a in group._group_actions)
+        tokens.append(f"({members})" + ("!" if group.required else ""))
+    return " ".join(tokens)
+
+
+# the CLI surface: every subcommand, in order, with each of its options
+CLI_SURFACE = {
+    "iterate": "(--def>map_def | --table)! --seed --json:flag --n:int!",
+    "orbit": "(--def>map_def | --table)! --seed --json:flag --max-steps:int=100",
+    "order": "(--def>map_def | --table)! --json:flag --bound:int=50",
+    "point-order": "(--def>map_def | --table)! --seed --json:flag --bound:int=1000",
+    "check-ii": "--table! --json:flag --n:int! --arg:int",
+    "symmetric": "--table! --json:flag",
+    "cycles": "--table! --json:flag",
+    "enumerate-ii": "--m:int! --k:int! --json:flag",
+    "count-involutions": "--m:int! --brute:flag --json:flag",
+    "claim1": "--table --m:int --k:int --json:flag",
+    "augment": "(--def>map_def | --table)! --seed --json:flag --to:int!",
+    "conjugate": "--table! --json:flag --perm!",
+    "verify-examples": "--json:flag",
+}
+
+
+def test_cli_surface_is_frozen():
+    assert {name: _surface(p) for name, p in _subcommands().items()} == CLI_SURFACE
+    assert list(_subcommands()) == list(CLI_SURFACE)
+
+
+# one minimal valid command line per subcommand, {t} the addition-mod-3 table
+# and {t4} the induced 3-involutory table on 4 symbols
+MINIMAL_ARGV = {
+    "iterate": "iterate --def f(x1,x2)=x1+x2 --seed 1,1 --n 5",
+    "orbit": "orbit --table {t} --seed 0,1",
+    "order": "order --def f(x1,x2)=1-x1-x2",
+    "point-order": "point-order --table {t} --seed 0,1",
+    "check-ii": "check-ii --table {t4} --n 2",
+    "symmetric": "symmetric --table {t}",
+    "cycles": "cycles --table {t}",
+    "enumerate-ii": "enumerate-ii --m 2 --k 2",
+    "count-involutions": "count-involutions --m 4",
+    "claim1": "claim1 --table {t}",
+    "augment": "augment --def f(x1,x2)=5-x1-x2 --seed 4/3,2,7 --to 3",
+    "conjugate": "conjugate --table {t} --perm 1,2,0",
+    "verify-examples": "verify-examples",
+}
+
+
+@pytest.mark.parametrize("name", list(_subcommands()))
+def test_every_subcommand_answers_in_json(capsys, table_path, table4_path, name):
+    argv = MINIMAL_ARGV[name].format(t=table_path, t4=table4_path).split()
+    text_code, text, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--json")
+    # stdout is one JSON document whatever the answer, and the exit code is the text form's
+    assert (code, err, out.count("\n")) == (text_code, "", 1)
+    payload = json.loads(out)
+    if name == "check-ii":
+        assert (code, text, payload) == (1, "false\n", {"induced_involutory": False})
