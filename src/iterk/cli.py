@@ -4,9 +4,9 @@ One subcommand per analysis; maps come in either as a definition string
 (``--def "f(x1,x2) = x1 + x2"``) or as a table file (``--table path``).
 Exit codes: 0 success, 1 verification failure (including a false answer
 from a predicate subcommand), 2 usage or parse errors, 3 exceeded resource
-budgets, 141 a write to stdout whose reader closed the pipe.  ``--json``
-switches to a stable machine-readable encoding; all output is deterministic
-for identical inputs.
+budgets, 141 a write to stdout whose reader closed the pipe.  Every
+subcommand takes ``--json``, which switches to a stable machine-readable
+encoding; all output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -41,12 +41,35 @@ def _render_state(state) -> str:
     return sep.join(parts)
 
 
-def _emit(args, text, payload) -> None:
+def _word(value) -> str:
+    """A value as the text form writes it: none, true, false or its str."""
+    if value is None:
+        return "none"
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _emit(args, text, payload) -> int:
     # both forms are zero-argument callables, and only the printed one is built
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload(), sort_keys=True))
     else:
         sys.stdout.write("".join(line + "\n" for line in text()))
+    return EXIT_OK
+
+
+def _answer(args, key, value) -> int:
+    """Write a one-value answer, {key: value} as JSON; a false one exits 1."""
+    _emit(args, lambda: [_word(value)], lambda: {key: value})
+    return EXIT_VERIFY if value is False else EXIT_OK
+
+
+def _table(args, t) -> int:
+    """Write a table in the table-file format, or {m, k, entries} as JSON."""
+    return _emit(
+        args,
+        lambda: [iterk.tables.dumps_table(t).rstrip("\n")],
+        lambda: {"m": t.m, "k": t.k, "entries": list(t.values())},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +89,16 @@ def _seed(args, src, lift=None):
     arity ``lift`` when given; a table's seed names symbols 0..m-1.
     """
     if not args.seed:
-        need = "when augmenting a definition" if lift else "for this command"
+        need = "when augmenting a definition" if lift is not None else "for this command"
         raise ValueError(f"--seed is required {need}")
     exprs = iterk.parser.parse_seed(args.seed)
     if args.table is None:
         field = iterk.parser.field_of(src.expr, *exprs)
         fmap = iterk.parser.to_kary_map(src, field)
-        if lift:
+        if lift is not None:
             fmap = iterk.recurrence.augment(fmap, lift)
         state = tuple(iterk.parser.eval_scalar(e, field) for e in exprs)
-        what, outside = "the lifted arity is" if lift else "the map has arity", []
+        what, outside = "the lifted arity is" if lift is not None else "the map has arity", []
     else:
         rational = iterk.exactnum.RationalField()
         state = ()
@@ -116,22 +139,18 @@ def _cmd_iterate(args) -> int:
         result = iterk.tables.table_iterate(src, seed, args.n)
     else:
         result = iterk.engine.iterate(fmap, seed, args.n)
-    _emit(args, lambda: [_render_state(result)], lambda: {"state": [str(v) for v in result]})
-    return EXIT_OK
+    return _emit(
+        args, lambda: [_render_state(result)], lambda: {"state": [str(v) for v in result]}
+    )
 
 
 def _cmd_orbit(args) -> int:
     orb = iterk.engine.orbit(*_seed(args, _load(args)), args.max_steps)
-    _emit(
+    return _emit(
         args,
-        lambda: [_render_state(s) for s in orb.states]
-        + [f"recurred: {'true' if orb.recurred else 'false'}"],
-        lambda: {
-            "states": [[str(v) for v in s] for s in orb.states],
-            "recurred": orb.recurred,
-        },
+        lambda: [_render_state(s) for s in orb.states] + [f"recurred: {_word(orb.recurred)}"],
+        lambda: {"states": [[str(v) for v in s] for s in orb.states], "recurred": orb.recurred},
     )
-    return EXIT_OK
 
 
 def _cmd_order(args) -> int:
@@ -141,8 +160,7 @@ def _cmd_order(args) -> int:
     else:
         it = iterk.affine.build_first_iterate(iterk.parser.to_affine(src))
         order = iterk.affine.affine_involutory_order(it, args.bound)
-    _emit(args, lambda: [str(order) if order else "none"], lambda: {"minimal_order": order})
-    return EXIT_OK
+    return _answer(args, "minimal_order", order)
 
 
 def _cmd_point_order(args) -> int:
@@ -153,30 +171,26 @@ def _cmd_point_order(args) -> int:
         order = iterk.tables.table_point_order(src, seed)
     else:
         order = iterk.engine.point_involutory_order(fmap, seed, args.bound)
-    _emit(args, lambda: [str(order) if order else "none"], lambda: {"point_order": order})
-    return EXIT_OK
+    return _answer(args, "point_order", order)
 
 
 def _cmd_check_ii(args) -> int:
     flag = iterk.tables.is_induced_involutory(_load(args), args.n, args.arg)
-    _emit(args, lambda: ["true" if flag else "false"], lambda: {"induced_involutory": flag})
-    return EXIT_OK if flag else EXIT_VERIFY
+    return _answer(args, "induced_involutory", flag)
 
 
 def _cmd_symmetric(args) -> int:
-    flag = iterk.tables.is_symmetric(_load(args))
-    _emit(args, lambda: ["true" if flag else "false"], lambda: {"symmetric": flag})
-    return EXIT_OK if flag else EXIT_VERIFY
+    return _answer(args, "symmetric", iterk.tables.is_symmetric(_load(args)))
 
 
 def _cmd_cycles(args) -> int:
     rep = iterk.tables.cycle_report(_load(args))
     # json writes a tuple as an array, so the report's tuples go in as they are
-    _emit(
+    return _emit(
         args,
         lambda: [
-            f"bijective: {'true' if rep.bijective else 'false'}",
-            f"minimal_order: {rep.minimal_order if rep.minimal_order else 'none'}",
+            f"bijective: {_word(rep.bijective)}",
+            f"minimal_order: {_word(rep.minimal_order)}",
             "cycle_lengths: " + " ".join(map(str, rep.cycle_lengths)),
             *("cycle: " + " ".join(map(str, cyc)) for cyc in rep.cycles),
         ],
@@ -187,17 +201,15 @@ def _cmd_cycles(args) -> int:
             "cycles": rep.cycles,
         },
     )
-    return EXIT_OK
 
 
 def _cmd_enumerate_ii(args) -> int:
     found = list(iterk.tables.enumerate_ii_tables(args.m, args.k))
-    _emit(
+    return _emit(
         args,
         lambda: [f"count: {len(found)}"] + [" ".join(map(str, t.values())) for t in found],
         lambda: {"count": len(found), "tables": [list(t.values()) for t in found]},
     )
-    return EXIT_OK
 
 
 def _cmd_count_involutions(args) -> int:
@@ -207,8 +219,7 @@ def _cmd_count_involutions(args) -> int:
         if brute != count:
             print(f"recursion {count} != brute force {brute}", file=sys.stderr)
             return EXIT_VERIFY
-    _emit(args, lambda: [str(count)], lambda: {"count": count})
-    return EXIT_OK
+    return _answer(args, "count", count)
 
 
 def _cmd_claim1(args) -> int:
@@ -218,10 +229,10 @@ def _cmd_claim1(args) -> int:
     if args.table is not None:
         rep = iterk.recurrence.cycle_correspondence_report(_load(args))
         cols = rep.columns()
-        _emit(
+        return _emit(
             args,
             lambda: [
-                f"bijective: {'true' if rep.bijective else 'false'}",
+                f"bijective: {_word(rep.bijective)}",
                 *(
                     f"state {i} {s}: n={n} j={j}"
                     f" dir1={'ok' if d1 else 'VIOLATED'}"
@@ -242,15 +253,13 @@ def _cmd_claim1(args) -> int:
                 "j_divides_nk_violations": rep.j_divides_nk_violations,
             },
         )
-        return EXIT_OK
     sweep = dataclasses.asdict(iterk.recurrence.cycle_correspondence_sweep(args.m, args.k))
     # the text form lists the tallies after m and k, each named by its field less "_count"
-    _emit(
+    return _emit(
         args,
         lambda: [f"{name.removesuffix('_count')}: {v}" for name, v in list(sweep.items())[2:]],
         lambda: sweep,
     )
-    return EXIT_OK
 
 
 def _cmd_augment(args) -> int:
@@ -258,28 +267,14 @@ def _cmd_augment(args) -> int:
         raise ValueError("augment --table takes no --seed")
     src = _load(args)
     if args.table is not None:
-        lifted = iterk.recurrence.augment_table(src, args.to)
-        _emit(
-            args,
-            lambda: [iterk.tables.dumps_table(lifted).rstrip("\n")],
-            lambda: {"m": src.m, "k": args.to, "entries": list(lifted.values())},
-        )
-        return EXIT_OK
+        return _table(args, iterk.recurrence.augment_table(src, args.to))
     fmap, seed = _seed(args, src, args.to)
-    result = fmap.apply(seed)
-    _emit(args, lambda: [str(result)], lambda: {"value": str(result)})
-    return EXIT_OK
+    return _answer(args, "value", str(fmap.apply(seed)))
 
 
 def _cmd_conjugate(args) -> int:
     t = _load(args)
-    conj = iterk.tables.conjugate(t, _perm_arg(args.perm, t.m))
-    _emit(
-        args,
-        lambda: [iterk.tables.dumps_table(conj).rstrip("\n")],
-        lambda: {"m": conj.m, "k": conj.k, "entries": list(conj.values())},
-    )
-    return EXIT_OK
+    return _table(args, iterk.tables.conjugate(t, _perm_arg(args.perm, t.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,98 +418,75 @@ def _cmd_verify_examples(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_input_options(sub, seed=False, table_only=False):
-    if table_only:
-        sub.add_argument("--table", required=True, help="table file path")
-    else:
-        grp = sub.add_mutually_exclusive_group(required=True)
-        grp.add_argument("--def", dest="map_def", help="map definition string")
-        grp.add_argument("--table", help="table file path")
-    if seed:
-        sub.add_argument("--seed", help="comma-separated seed scalars")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="iterk",
-        description=(
-            "Iterate maps of k arguments as order-k recurrences and analyze"
-            " their periodicity."
-        ),
-    )
+    about = "Iterate maps of k arguments as order-k recurrences and analyze their periodicity."
+    ap = argparse.ArgumentParser(prog="iterk", description=about)
     sp = ap.add_subparsers(dest="command", required=True)
 
-    s = sp.add_parser("iterate", help="n-th iterate of a seed state")
-    _add_input_options(s, seed=True)
-    s.add_argument("--n", type=int, required=True)
-    s.set_defaults(fn=_cmd_iterate)
+    def command(name, summary, fn, inputs=None, seed=False, **options):
+        """One subcommand.  ``inputs`` is "map" for --def or --table, "table"
+        for --table alone, or None; ``options`` maps each further flag, less
+        its dashes and with _ for -, to its add_argument keywords.  --json
+        follows the inputs and --seed, or closes a command that has none."""
+        s = sp.add_parser(name, help=summary)
+        s.set_defaults(fn=fn)
+        if inputs == "map":
+            grp = s.add_mutually_exclusive_group(required=True)
+            grp.add_argument("--def", dest="map_def", help="map definition string")
+            grp.add_argument("--table", help="table file path")
+        elif inputs == "table":
+            s.add_argument("--table", required=True, help="table file path")
+        if seed:
+            s.add_argument("--seed", help="comma-separated seed scalars")
+        json_flag = {"json": dict(action="store_true", help="machine-readable output")}
+        for flag, kw in ({**json_flag, **options} if inputs else {**options, **json_flag}).items():
+            s.add_argument("--" + flag.replace("_", "-"), **kw)
 
-    s = sp.add_parser("orbit", help="trajectory of a seed state")
-    _add_input_options(s, seed=True)
-    s.add_argument("--max-steps", type=int, default=100)
-    s.set_defaults(fn=_cmd_orbit)
-
-    s = sp.add_parser("order", help="minimal involutory order")
-    _add_input_options(s)
-    s.add_argument("--bound", type=int, default=50, help="search bound for definitions")
-    s.set_defaults(fn=_cmd_order)
-
-    s = sp.add_parser("point-order", help="minimal n with the n-th iterate fixing the seed")
-    _add_input_options(s, seed=True)
-    s.add_argument("--bound", type=int, default=1000, help="search bound for definitions only")
-    s.set_defaults(fn=_cmd_point_order)
-
-    s = sp.add_parser("check-ii", help="induced involutivity of order n")
-    _add_input_options(s, table_only=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--arg", type=int, default=None, help="restrict to one argument position")
-    s.set_defaults(fn=_cmd_check_ii)
-
-    s = sp.add_parser("symmetric", help="invariance under argument permutations")
-    _add_input_options(s, table_only=True)
-    s.set_defaults(fn=_cmd_symmetric)
-
-    s = sp.add_parser("cycles", help="cycle decomposition of the first iterate")
-    _add_input_options(s, table_only=True)
-    s.set_defaults(fn=_cmd_cycles)
-
-    s = sp.add_parser("enumerate-ii", help="all induced-involutory tables for m, k")
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(fn=_cmd_enumerate_ii)
-
-    s = sp.add_parser("count-involutions", help="telephone number T(m)")
-    s.add_argument("--m", type=int, required=True)
-    s.add_argument("--brute", action="store_true", help="cross-check by full scan")
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(fn=_cmd_count_involutions)
-
-    s = sp.add_parser(
-        "claim1",
-        help="correspondence between state periods and recurrence cycle lengths",
+    need = dict(type=int, required=True)
+    command("iterate", "n-th iterate of a seed state", _cmd_iterate, "map", seed=True, n=need)
+    command(
+        "orbit", "trajectory of a seed state", _cmd_orbit, "map", seed=True,
+        max_steps=dict(type=int, default=100),
     )
-    s.add_argument("--table", help="analyze one table file")
-    s.add_argument("--m", type=int, help="sweep all tables on m symbols")
-    s.add_argument("--k", type=int, help="arity for the sweep")
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(fn=_cmd_claim1)
-
-    s = sp.add_parser("augment", help="lift a map to a higher arity")
-    _add_input_options(s, seed=True)
-    s.add_argument("--to", type=int, required=True, help="target arity")
-    s.set_defaults(fn=_cmd_augment)
-
-    s = sp.add_parser("conjugate", help="relabel a table through a bijection")
-    _add_input_options(s, table_only=True)
-    s.add_argument("--perm", required=True, help="comma-separated images of 0..m-1")
-    s.set_defaults(fn=_cmd_conjugate)
-
-    s = sp.add_parser("verify-examples", help="run the built-in worked examples")
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(fn=_cmd_verify_examples)
-
+    command(
+        "order", "minimal involutory order", _cmd_order, "map",
+        bound=dict(type=int, default=50, help="search bound for definitions"),
+    )
+    command(
+        "point-order", "minimal n with the n-th iterate fixing the seed", _cmd_point_order,
+        "map", seed=True,
+        bound=dict(type=int, default=1000, help="search bound for definitions only"),
+    )
+    command(
+        "check-ii", "induced involutivity of order n", _cmd_check_ii, "table", n=need,
+        arg=dict(type=int, default=None, help="restrict to one argument position"),
+    )
+    command("symmetric", "invariance under argument permutations", _cmd_symmetric, "table")
+    command("cycles", "cycle decomposition of the first iterate", _cmd_cycles, "table")
+    command(
+        "enumerate-ii", "all induced-involutory tables for m, k", _cmd_enumerate_ii,
+        m=need, k=need,
+    )
+    command(
+        "count-involutions", "telephone number T(m)", _cmd_count_involutions, m=need,
+        brute=dict(action="store_true", help="cross-check by full scan"),
+    )
+    command(
+        "claim1", "correspondence between state periods and recurrence cycle lengths",
+        _cmd_claim1,
+        table=dict(help="analyze one table file"),
+        m=dict(type=int, help="sweep all tables on m symbols"),
+        k=dict(type=int, help="arity for the sweep"),
+    )
+    command(
+        "augment", "lift a map to a higher arity", _cmd_augment, "map", seed=True,
+        to=dict(need, help="target arity"),
+    )
+    command(
+        "conjugate", "relabel a table through a bijection", _cmd_conjugate, "table",
+        perm=dict(required=True, help="comma-separated images of 0..m-1"),
+    )
+    command("verify-examples", "run the built-in worked examples", _cmd_verify_examples)
     return ap
 
 

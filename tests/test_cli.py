@@ -443,6 +443,13 @@ class TestErrorPaths:
              "augment --table takes no --seed"),
             (("augment", "--table", "{t}", "--to", "3", "--seed", "0,0,0"),
              "augment --table takes no --seed"),
+            # --to 0 lifts nothing, so a definition is refused as a table is
+            (("augment", "--def", "f(x1)=x1", "--to", "0", "--seed", "1"),
+             "target arity must exceed the original arity 1, got 0"),
+            (("augment", "--def", "f(x1,x2)=x1+x2", "--to", "0", "--seed", "1,2"),
+             "target arity must exceed the original arity 2, got 0"),
+            (("augment", "--def", "f(x1)=x1", "--to", "0"),
+             "--seed is required when augmenting a definition"),
         ],
     )
     def test_usage_errors_name_no_source_position(self, capsys, table_path, argv, message):
