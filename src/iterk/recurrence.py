@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _kernels
 from .engine import Element, KaryMap, iterate as engine_iterate
-from .errors import ArityError, BudgetError
-from .tables import FiniteTable, check_state_budget, cycle_report, tables_exceed
+from .errors import ArityError
+from .tables import FiniteTable, check_budget, check_state_budget, cycle_report
 
 #: Largest number of tables a full sweep will visit.
 SWEEP_BUDGET = 10**7
@@ -219,9 +219,7 @@ def cycle_correspondence_sweep(
     the first iterate and under the one-term window shift."""
     if m < 1 or k < 1:
         raise ValueError("m and k must both be >= 1")
-    limit = SWEEP_BUDGET if budget is None else budget
-    if tables_exceed(m, k, limit):
-        raise BudgetError(f"{m}**({m}**{k}) tables exceed the sweep budget {limit}")
+    check_budget(m, (m, k), budget, SWEEP_BUDGET, "tables", "sweep")
     return SweepTallies(m, k, *(int(v) for v in _kernels.cycle_sweep(m, k)))
 
 

@@ -6,9 +6,10 @@ analyzed: the first iterate becomes a map on m**k state indices, involutory
 orders reduce to lcm-of-cycle-lengths questions, and induced-involution and
 symmetry predicates are decided by enumeration.
 
-Elements are 0-based integers.  Exhaustive operations check their problem
-size against module-level budgets and raise :class:`BudgetError` rather
-than start an infeasible computation.
+Elements are 0-based integers.  Every exhaustive operation prices its work as
+a power before it starts, and :func:`check_budget` refuses work past its limit
+(a module-level budget, or the caller's ``budget=``) with one message form:
+``<cost> <what> exceed the <name> budget of <limit>``, the cost as a power.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .errors import ArityError, BudgetError, ParseError
 STATE_BUDGET = 10**6
 #: Largest number of candidate tables an enumeration will generate.
 CANDIDATE_BUDGET = 10**7
+#: Largest number of self-maps m**m a brute-force involution count will scan.
+SCAN_BUDGET = 5 * 10**7
 # one line of table text and its break, at every break str.splitlines knows
 _LINE = re.compile("[^{0}]*(?:\r\n|[{0}])?".format("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
 
@@ -48,8 +51,8 @@ def state_index(state: Sequence[int], m: int) -> int:
 
 def state_from_index(idx: int, m: int, k: int) -> tuple[int, ...]:
     """Inverse of :func:`state_index`."""
-    if not 0 <= idx < m**k:
-        raise ValueError(f"index {idx} out of range 0..{m ** k - 1}")
+    if not 0 <= idx < _screened_power(m, k, int(idx)):
+        raise ValueError(f"index {idx} out of range 0..{m}**{k} - 1")
     out = []
     for _ in range(k):
         idx, r = divmod(idx, m)
@@ -72,10 +75,8 @@ class FiniteTable:
         if self.m < 1 or self.k < 1:
             raise ValueError("m and k must both be >= 1")
         arr = np.ascontiguousarray(self.entries, dtype=np.int64)
-        if arr.ndim != 1 or arr.shape[0] != self.m**self.k:
-            raise ValueError(
-                f"expected {self.m ** self.k} entries, got {arr.size}"
-            )
+        if arr.ndim != 1 or _screened_power(self.m, self.k, arr.size) != arr.size:
+            raise ValueError(f"expected {self.m}**{self.k} entries, got {arr.size}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.m):
             raise ValueError(f"entries must lie in 0..{self.m - 1}")
         arr.setflags(write=False)
@@ -87,6 +88,7 @@ class FiniteTable:
 
     @classmethod
     def from_function(cls, m: int, k: int, fn: Callable[..., int]) -> "FiniteTable":
+        check_state_budget(m, k)
         vals = [fn(*state_from_index(i, m, k)) for i in range(m**k)]
         return cls.from_values(m, k, vals)
 
@@ -121,34 +123,34 @@ class FiniteTable:
         return f"FiniteTable(m={self.m}, k={self.k}, entries={self.values()})"
 
 
-def exceeds(base: int, exponent: int, limit: int) -> bool:
-    """Whether base**exponent > limit.
-
-    exponent*log2(base) is compared with limit's bit length first, so no
-    power far past the limit is formed.
-    """
-    if base > 1 and exponent > limit.bit_length() / math.log2(base):
-        return True
-    return base**exponent > limit
+def _screened_power(base: int, exponent: int, cap: int) -> int:
+    # base**exponent, or cap + 1 once exponent*log2(base) passes cap's bit
+    # length: either way above cap exactly when the power is, and no power
+    # past that bit length is formed
+    if base > 1 and exponent > cap.bit_length() / math.log2(base):
+        return cap + 1
+    return base**exponent
 
 
-def tables_exceed(m: int, k: int, limit: int) -> bool:
-    """Whether the m**(m**k) tables on m symbols with k arguments exceed
-    ``limit``; m**k is formed only when it is below limit's bit length."""
-    return exceeds(m, k, limit.bit_length()) or exceeds(m, m**k, limit)
+def check_budget(
+    base: int, exponent: int | tuple, budget: int | None, default: int, what: str, name: str
+) -> None:
+    """Raise :class:`BudgetError` when base**exponent ``what`` exceed the ``name``
+    budget: ``budget``, or ``default`` when it is None.  ``exponent`` is an int
+    or a pair (b, e) standing for b**e, as in the m**(m**k) tables on m symbols.
+    The cost is screened in log space and compared exactly at the limit, so no
+    power past the limit's bit length is formed."""
+    limit = default if budget is None else budget
+    nested = type(exponent) is tuple
+    e = _screened_power(*exponent, limit.bit_length()) if nested else exponent
+    if _screened_power(base, e, limit) > limit:
+        power = "({}**{})".format(*exponent) if nested else exponent
+        raise BudgetError(f"{base}**{power} {what} exceed the {name} budget of {limit}")
 
 
 def check_state_budget(m: int, k: int, budget: int | None = None) -> None:
-    """Raise :class:`BudgetError` when m**k states exceed ``budget``
-    (:data:`STATE_BUDGET` by default).
-
-    The message names m and k, never m**k.
-    """
-    limit = STATE_BUDGET if budget is None else budget
-    if exceeds(m, k, limit):
-        raise BudgetError(
-            f"{m}**{k} states exceed the analysis budget of {limit}"
-        )
+    """Refuse m**k states past ``budget`` (:data:`STATE_BUDGET` by default)."""
+    check_budget(m, k, budget, STATE_BUDGET, "states", "analysis")
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +330,7 @@ def hat_id(m: int, k: int) -> FiniteTable:
     """The first-projection table; its first iterate is the identity."""
     if m < 1 or k < 1:
         raise ValueError("m and k must both be >= 1")
+    check_state_budget(m, k)
     return FiniteTable(m, k, np.repeat(np.arange(m, dtype=np.int64), m ** (k - 1)))
 
 
@@ -346,6 +349,7 @@ def project_compose(g: Sequence[int], k: int, m: int | None = None) -> FiniteTab
     The resulting table satisfies ``is_n_involutory(result, 2)``.
     """
     m = len(g) if m is None else m
+    check_state_budget(m, k)
     arr = _as_self_map(g, m)
     if not np.array_equal(arr[arr], np.arange(m)):
         raise ValueError("g must satisfy g(g(x)) = x for every x")
@@ -432,20 +436,17 @@ def count_involutions(m: int) -> int:
     return count
 
 
-def count_involutions_brute(m: int, budget: int = 5 * 10**7) -> int:
+def count_involutions_brute(m: int, budget: int = SCAN_BUDGET) -> int:
     """Count involutions by scanning all m**m self-maps."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if exceeds(m, m, budget):
-        raise BudgetError(f"{m}**{m} self-maps exceed the scan budget {budget}")
+    check_budget(m, m, budget, SCAN_BUDGET, "self-maps", "scan")
     return int(_kernels.involution_scan(m))
 
 
 def iter_all_tables(m: int, k: int, budget: int | None = None) -> Iterator[FiniteTable]:
     """Every table on m symbols with k arguments, ascending row-major order."""
-    limit = CANDIDATE_BUDGET if budget is None else budget
-    if tables_exceed(m, k, limit):
-        raise BudgetError(f"{m}**({m}**{k}) tables exceed the enumeration budget {limit}")
+    check_budget(m, (m, k), budget, CANDIDATE_BUDGET, "tables", "enumeration")
     n_states = m**k
     total = m**n_states
     rows = max(1, _kernels._CHUNK // n_states)
@@ -475,13 +476,10 @@ def enumerate_ii_tables(
     if m < 1 or k < 1:
         raise ValueError("m and k must both be >= 1")
     check_state_budget(m, k, state_budget)
-    n_inv = _telephone(m)
-    climit = CANDIDATE_BUDGET if candidate_budget is None else candidate_budget
-    if exceeds(n_inv, m ** (k - 1), climit):
-        raise BudgetError(
-            f"{n_inv}**({m}**{k - 1}) candidate tables exceed the"
-            f" enumeration budget {climit}"
-        )
+    check_budget(
+        _telephone(m), (m, k - 1), candidate_budget, CANDIDATE_BUDGET,
+        "candidate tables", "enumeration",
+    )
     rows = np.array(involutions(m), dtype=np.int64).reshape(-1, m)
     for kk in range(2, k + 1):
         n_rows = rows.shape[0]

@@ -14,6 +14,14 @@ def _nodes():
             yield path.name, node
 
 
+def _raises(node, error: str) -> bool:
+    return (
+        isinstance(node, ast.Raise)
+        and node.exc is not None
+        and error in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    )
+
+
 def test_library_has_no_assert_statements():
     # -O strips assert statements, so no library check may rely on one
     found = [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)]
@@ -23,13 +31,7 @@ def test_library_has_no_assert_statements():
 def test_library_raises_no_assertion_error():
     # a failed internal check is a RuntimeError; AssertionError reads as a
     # stripped assert and is what test frameworks treat as their own
-    found = [
-        f"{name}:{node.lineno}"
-        for name, node in _nodes()
-        if isinstance(node, ast.Raise)
-        and node.exc is not None
-        and "AssertionError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
-    ]
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if _raises(node, "AssertionError")]
     assert found == []
 
 
@@ -56,14 +58,23 @@ def test_only_the_package_imports_iterk_modules_inside_functions():
 def test_only_the_two_text_readers_raise_parse_errors():
     # the definition grammar (which also reads rendered cyclotomic values)
     # and the table file format are the only text the library reads
-    found = {
-        name
-        for name, node in _nodes()
-        if isinstance(node, ast.Raise)
-        and node.exc is not None
-        and "ParseError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
-    }
+    found = {name for name, node in _nodes() if _raises(node, "ParseError")}
     assert found == {"parser.py", "tables.py"}
+
+
+def test_budget_errors_are_raised_in_three_functions():
+    # every work cost is refused through tables.check_budget; the other two
+    # are the printable-digit guard on T(m) and the root-order cap
+    found = {
+        f"{name}:{fn.name}"
+        for name, fn in _nodes()
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if _raises(node, "BudgetError")
+    }
+    assert found == {
+        "tables.py:check_budget", "tables.py:_telephone", "exactnum.py:cyclotomic_polynomial"
+    }
 
 
 def test_library_parses_as_python_3_10():

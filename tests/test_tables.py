@@ -1,5 +1,6 @@
 """Finite-table analysis: permutation structure, predicates, enumeration."""
 
+import inspect
 import itertools
 import math
 import random
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from iterk import _kernels, tables
 from iterk.engine import InducedContext, first_iterate, induced_self_map, point_involutory_order
 from iterk.errors import BudgetError, ParseError
+from iterk.recurrence import augment_table, cycle_correspondence_sweep
 from iterk.tables import (
     FiniteTable,
     as_permutation,
+    check_budget,
     check_state_budget,
     conjugate,
     count_involutions,
@@ -24,7 +27,6 @@ from iterk.tables import (
     cycle_report,
     dumps_table,
     enumerate_ii_tables,
-    exceeds,
     hat_id,
     involutions,
     is_induced_involutory,
@@ -38,7 +40,6 @@ from iterk.tables import (
     state_index,
     table_iterate,
     table_point_order,
-    tables_exceed,
 )
 
 ADD_MOD3 = FiniteTable.from_values(3, 2, [0, 1, 2, 1, 2, 0, 2, 0, 1])
@@ -1119,10 +1120,74 @@ class TestBudgets:
         with pytest.raises(BudgetError, match=r"2000\*\*2000 self-maps"):
             count_involutions_brute(2000)
 
-    def test_exceeds_is_exact_at_the_limit(self):
-        assert not exceeds(10, 7, 10**7) and exceeds(10, 7, 10**7 - 1)
-        assert not exceeds(2, 23, 2**23) and exceeds(2, 24, 2**23)
-        assert not exceeds(1, 10**12, 1) and not exceeds(0, 5, 0)
-        assert exceeds(3, 10**18, 10**7)
-        assert not tables_exceed(2, 2, 16) and tables_exceed(2, 2, 15)
-        assert not tables_exceed(1, 10**12, 1) and tables_exceed(3, 10**12, 10**7)
+    @pytest.mark.parametrize(
+        "base, exponent, limit, refused",
+        [
+            (10, 7, 10**7, False), (10, 7, 10**7 - 1, True),
+            (2, 23, 2**23, False), (2, 24, 2**23, True),
+            (1, 10**12, 1, False), (0, 5, 0, False),
+            (3, 10**18, 10**7, True),
+            # m**(m**k) tables
+            (2, (2, 2), 16, False), (2, (2, 2), 15, True),
+            (1, (1, 10**12), 1, False), (3, (3, 10**12), 10**7, True),
+        ],
+    )
+    def test_check_budget_is_exact_at_the_limit(self, base, exponent, limit, refused):
+        if not refused:
+            check_budget(base, exponent, None, limit, "tables", "test")
+            return
+        with pytest.raises(BudgetError, match=rf"^{base}\*\*\S+ tables exceed the test budget of {limit}$"):
+            check_budget(base, exponent, None, limit, "tables", "test")
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: cycle_report(hat_id(2, 2), budget=3), "2**2 states exceed the analysis budget of 3"),
+            (lambda: as_permutation(hat_id(2, 2), budget=3), "2**2 states exceed the analysis budget of 3"),
+            (
+                lambda: is_induced_involutory(hat_id(2, 2), 2, budget=3),
+                "2**2 states exceed the analysis budget of 3",
+            ),
+            (lambda: augment_table(ADD_MOD3, 13), "3**13 states exceed the analysis budget of 1000000"),
+            (lambda: loads_table("1000001 1\n"), "1000001**1 states exceed the analysis budget of 1000000"),
+            (lambda: count_involutions_brute(9), "9**9 self-maps exceed the scan budget of 50000000"),
+            (
+                lambda: next(iter_all_tables(2, 25)),
+                "2**(2**25) tables exceed the enumeration budget of 10000000",
+            ),
+            (
+                lambda: next(enumerate_ii_tables(2, 19)),
+                "2**(2**18) candidate tables exceed the enumeration budget of 10000000",
+            ),
+            (
+                lambda: next(enumerate_ii_tables(16, 1)),
+                "46206736**(16**0) candidate tables exceed the enumeration budget of 10000000",
+            ),
+            (
+                lambda: cycle_correspondence_sweep(2, 25),
+                "2**(2**25) tables exceed the sweep budget of 10000000",
+            ),
+            (lambda: hat_id(2, 20), "2**20 states exceed the analysis budget of 1000000"),
+            (lambda: project_compose([1, 0], 20), "2**20 states exceed the analysis budget of 1000000"),
+            (
+                lambda: FiniteTable.from_function(2, 20, lambda *s: s[0]),
+                "2**20 states exceed the analysis budget of 1000000",
+            ),
+        ],
+        ids=[
+            "cycle_report", "as_permutation", "is_induced_involutory", "augment_table",
+            "loads_table", "count_involutions_brute", "iter_all_tables", "enumerate_ii_tables",
+            "enumerate_ii_tables-candidates", "cycle_correspondence_sweep", "hat_id",
+            "project_compose", "from_function",
+        ],
+    )
+    def test_every_refusal_comes_before_the_work_in_one_form(self, monkeypatch, call, message):
+        def refuse(*args):
+            raise AssertionError("work started before the budget check")
+
+        for name, fn in inspect.getmembers(_kernels, inspect.isfunction):
+            monkeypatch.setattr(_kernels, name, refuse)
+        monkeypatch.setattr(tables, "involutions", refuse)
+        with pytest.raises(BudgetError) as err:
+            call()
+        assert str(err.value) == message
