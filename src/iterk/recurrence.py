@@ -14,8 +14,8 @@ all-tables sweep alike.
 
 One rule gives every sequence period: the terms repeat after d steps exactly
 when their k-term window does.  :func:`detect_minimal_period` walks the
-windows until one recurs; the table report and the all-tables sweep read j
-off as the seed's cycle length under the same one-term window shift.
+windows once, remembering every 16th, until one recurs; the table report and
+the all-tables sweep read j off as the seed's cycle length under the shift.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ SWEEP_BUDGET = 10**7
 
 #: Default largest witness index (window position) searched for a period.
 DETECT_BOUND = 10_000
+
+#: :func:`detect_minimal_period` remembers every this-many-th window.
+_MARK_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -93,30 +96,42 @@ def detect_minimal_period(
     """Minimal eventual period of the generated sequence.
 
     Walks the k-term windows, each the previous one shifted by one term (one
-    application of the map; elements must be hashable), and stops at the
-    first window t that was seen before.  A second walk from the seed finds
-    that window's first occurrence s.  The terms repeat after d steps from r on
-    exactly when window r + d equals window r, so t - s is the minimal
-    period and s the preperiod.  A period is found exactly when its witness
-    index t is at most ``bound``; otherwise the period is absent.
+    application of the map; elements must be hashable), keeping the terms in
+    a list and every ``_MARK_EVERY``-th window in a dict by index.  Terms
+    repeat after d steps from r on exactly when window r + d equals window r,
+    and no window before the preperiod recurs, so the first window t in the
+    dict repeats mark i, the first at or past the preperiod: t - i is the
+    minimal period, and i stepped back while the term a period on is the same
+    object or equal is the preperiod.  Window ``bound``, if reached, takes its
+    period from its latest match among the earlier windows.  A period is
+    found exactly when its witness index is at most ``bound``; the map is
+    applied at most ``bound`` times.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    apply = spec.map.apply
-    seen = set()
-    window = tuple(spec.seed)
-    t = 0
-    while window not in seen:
-        if t == bound:
+    apply, k = spec.map.apply, spec.map.arity
+    terms, window, marks = list(spec.seed), tuple(spec.seed), {}
+    for t in range(bound):
+        i = marks.get(window)
+        if i is not None:
+            break
+        if t % _MARK_EVERY == 0:
+            marks[window] = t
+        terms.append(apply(window))
+        window = window[1:] + (terms[-1],)
+    else:
+        t, i, j, last = bound, None, -1, terms[bound:]
+        # C-level scans to each earlier place of window bound's first term
+        for _ in range(terms.count(last[0]) - last.count(last[0])):
+            j = terms.index(last[0], j + 1)
+            if terms[j : j + k] == last:
+                i = j
+        if i is None:
             return CycleFinding(None, 0, None)
-        seen.add(window)
-        window = window[1:] + (apply(window),)
-        t += 1
-    first, s = tuple(spec.seed), 0
-    while first != window:
-        first = first[1:] + (apply(first),)
-        s += 1
-    return CycleFinding(t - s, s, t)
+    period = t - i
+    while i and terms[i - 1 : i] == terms[i - 1 + period : i + period]:
+        i -= 1
+    return CycleFinding(period, i, i + period)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ class FiniteTable:
 
     @classmethod
     def from_values(cls, m: int, k: int, values: Iterable[int]) -> "FiniteTable":
-        return cls(m, k, np.fromiter(values, dtype=np.int64, count=m**k))
+        return cls(m, k, np.fromiter(values, dtype=np.int64))
 
     @classmethod
     def from_function(cls, m: int, k: int, fn: Callable[..., int]) -> "FiniteTable":

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from iterk.affine import AffineMapSpec
 from iterk.engine import KaryMap, first_iterate, iterate
 from iterk.errors import ArityError, BudgetError
+from iterk.exactnum import CyclotomicField, CyclotomicNumber
 from iterk.recurrence import (
+    DETECT_BOUND,
     RecurrenceSpec,
     SweepTallies,
     augment,
@@ -135,45 +138,121 @@ class TestDetectMatchesTwoPassReference:
             f = FiniteTable.from_values(m, k, entries).as_map()
             spec = RecurrenceSpec(f, tuple(rng.randrange(m) for _ in range(k)))
             # a period is found exactly when its witness index is within the
-            # bound: try the witness, one below it, one under the arity and
-            # random bounds
+            # bound: try bounds about the witness and 16 windows past it, one
+            # under the arity and random bounds
             want = reference_detect(spec, 10**9)
             witness = want[2]
-            bounds = {witness, max(1, witness - 1), max(1, k - 1)}
+            bounds = {*near(witness), max(1, k - 1)}
             bounds |= {rng.randint(1, 3 * k * m**k) for _ in range(3)}
             for bound in sorted(bounds):
-                found = detect_minimal_period(spec, bound)
-                got = (found.minimal_period, found.preperiod, found.witness_index)
-                expected = want if witness <= bound else (None, 0, None)
-                assert got == expected, (entries, spec.seed, bound)
+                assert finding(spec, bound) == expected(*want, bound), (entries, spec.seed, bound)
+
+    def test_rho_maps_across_the_mark_stride(self):
+        # 0 -> 1 -> ... -> mu + lam - 1 -> mu: every preperiod and period up to
+        # 40, so both fall on either side of every 16th window; a preperiod
+        # costs at most 15 map calls past the witness
+        for mu in range(41):
+            for lam in range(1, 41):
+                f, calls = counted(1, rho(list(range(mu + lam)), mu))
+                spec = RecurrenceSpec(f, (0,))
+                witness = mu + lam
+                assert reference_detect(spec, 10**9) == (lam, mu, witness)
+                for bound in near(witness):
+                    calls[0] = 0
+                    assert finding(spec, bound) == expected(lam, mu, witness, bound)
+                    assert calls[0] <= min(bound, witness + 15), (mu, lam, bound)
+
+    def test_fraction_and_cyclotomic_terms(self):
+        # hashable exact values with no truth value of their own, compared by value
+        ring = [CyclotomicNumber.zeta(9, i) + i for i in range(37)]
+        fld = CyclotomicField(12)
+        cases = [
+            (KaryMap(1, rho([Fraction(i, 3) for i in range(37)], 19)), (Fraction(0),)),
+            (KaryMap(1, rho(ring, 5)), (ring[0],)),
+            (KaryMap(2, lambda s, step=rho(ring, 20): step(s[1:])), (ring[36], ring[3])),
+            (AffineMapSpec.rational((-1, -1)).as_kary_map(), (Fraction(1, 2), Fraction(-3, 7))),
+            (AffineMapSpec(1, (fld.zeta(),), fld.one(), fld).as_kary_map(), (fld.zero(),)),
+            (AffineMapSpec(2, (fld.zeta(5), 0), fld.zeta(), fld).as_kary_map(), (fld.one(), fld.zero())),
+            (AffineMapSpec(3, (fld.zeta(3), 0, 0), 0, fld).as_kary_map(), (fld.one(), 0, fld.zeta())),
+        ]
+        for f, seed in cases:
+            spec = RecurrenceSpec(f, seed)
+            want = reference_detect(spec, 10**9)
+            for bound in near(want[2]):
+                assert finding(spec, bound) == expected(*want, bound), (f, seed, bound)
+
+    def test_a_term_equal_only_to_itself(self):
+        # windows compare their terms as the same object first, so a nan that
+        # is its own image is a fixed point after one transient term
+        nan = float("nan")
+        spec = RecurrenceSpec(KaryMap(1, lambda s: nan), (0.0,))
+        for bound in (1, 2, 17, 40):
+            assert finding(spec, bound) == expected(1, 1, 2, bound)
 
     def test_each_term_applies_the_map_once(self):
         # a(n+2) = 7 a(n) + a(n+1) mod 31 has a primitive characteristic
         # polynomial, so from a nonzero seed the period is 31**2 - 1 = 960
-        calls = 0
-
-        def fn(s):
-            nonlocal calls
-            calls += 1
-            return (7 * s[0] + s[1]) % 31
-
-        found = detect_minimal_period(RecurrenceSpec(KaryMap(2, fn), (0, 1)), 2000)
-        assert (found.minimal_period, found.preperiod, found.witness_index) == (960, 0, 960)
-        assert calls <= 960 + 2
+        f, calls = counted(2, lambda s: (7 * s[0] + s[1]) % 31)
+        assert finding(RecurrenceSpec(f, (0, 1)), 2000) == (960, 0, 960)
+        assert calls[0] == 960
 
     def test_three_argument_windows_apply_the_map_once_per_term(self):
         # a(n+3) = 2 a(n) + a(n+2) mod 5 has a primitive characteristic
         # polynomial, so from a nonzero seed the period is 5**3 - 1 = 124
-        calls = 0
+        f, calls = counted(3, lambda s: (2 * s[0] + s[2]) % 5)
+        assert finding(RecurrenceSpec(f, (0, 0, 1)), DETECT_BOUND) == (124, 0, 124)
+        assert calls[0] == 124
 
-        def fn(s):
-            nonlocal calls
-            calls += 1
-            return (2 * s[0] + s[2]) % 5
+    def test_a_sequence_without_period_applies_the_map_bound_times(self):
+        f, calls = counted(1, lambda s: s[0] + 1)
+        for bound in (1, 15, 16, 17, 1000):
+            calls[0] = 0
+            assert finding(RecurrenceSpec(f, (0,)), bound) == (None, 0, None)
+            assert calls[0] == bound
 
-        found = detect_minimal_period(RecurrenceSpec(KaryMap(3, fn), (0, 0, 1)))
-        assert (found.minimal_period, found.preperiod, found.witness_index) == (124, 0, 124)
-        assert calls <= 124 + 3
+    def test_a_long_period_keeps_a_small_window_memory(self):
+        # a(n+2) = 3 a(n) + a(n+1) mod 317 has period 317**2 - 1 = 100,488;
+        # remembering every window took 10.6 MiB
+        spec = RecurrenceSpec(KaryMap(2, lambda s: (3 * s[0] + s[1]) % 317), (0, 1))
+        tracemalloc.start()
+        try:
+            found = finding(spec, 2 * (317**2 + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == (100_488, 0, 100_488)
+        assert peak < 4 * 2**20
+
+
+def counted(k, fn):
+    """A k-argument map counting its applications in ``calls[0]``."""
+    calls = [0]
+
+    def counting(s):
+        calls[0] += 1
+        return fn(s)
+
+    return KaryMap(k, counting), calls
+
+
+def rho(values, mu):
+    """One step through ``values``, from the last one back to ``values[mu]``."""
+    after = dict(zip(values, values[1:] + [values[mu]]))
+    return lambda s: after[s[0]]
+
+
+def near(witness):
+    """Bounds either side of ``witness`` and of its 16th window past."""
+    return sorted({max(1, witness - 1), witness, witness + 1, witness + 15, witness + 16, witness + 17})
+
+
+def finding(spec, bound):
+    found = detect_minimal_period(spec, bound)
+    return found.minimal_period, found.preperiod, found.witness_index
+
+
+def expected(period, preperiod, witness, bound):
+    return (period, preperiod, witness) if witness <= bound else (None, 0, None)
 
 
 class TestCorrespondenceReport:

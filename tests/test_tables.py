@@ -73,6 +73,15 @@ class TestFiniteTable:
         with pytest.raises(ValueError):
             FiniteTable.from_values(2, 2, [0, 1, 2, 0])
 
+    @pytest.mark.parametrize("m, k, values, got", [
+        (3, 100, [0], 1),  # 3**100 entries, far past any int64 count
+        (2, 2, [0], 1),
+        (2, 2, [0, 1, 0, 1, 1, 1], 6),  # the extra values are not dropped
+    ])
+    def test_wrong_value_count_is_the_tables_own_error(self, m, k, values, got):
+        with pytest.raises(ValueError, match=rf"^expected {m}\*\*{k} entries, got {got}$"):
+            FiniteTable.from_values(m, k, values)
+
     def test_entries_are_immutable(self):
         with pytest.raises(ValueError):
             ADD_MOD3.entries[0] = 1
