@@ -17,7 +17,18 @@ is :func:`exactnum._poly_mul` added up over the inner index and reduced once
 by :func:`exactnum._reduce`; a square is (A*A, A*b + D*b) over D**2, and the
 pair applied to a state u/s is (A*u + s*b)/(D*s).  Each square and
 application takes one common gcd out of its entries and denominator; result
-values take one gcd each.  Nothing here touches floating point except
+values take one gcd each.
+
+The involutory order is decided, not searched for: it is the lcm of the
+point orders of 0 and the unit vectors, each the least divisor of L that
+works, or None when pair**L moves one of them.  L is the lcm of the d with
+phi(lcm(N, d)) <= k*phi(N), the orders of the roots of unity of degree <= k
+over Q(zeta_N).  Most other maps fail sooner: a map's coefficients must lie
+in Z[zeta_N], with a_1 a root of unity and, over Q, |a_i| <= C(k, i-1)
+(Kronecker, J. reine angew. Math. 53, 1857), and each kept square's trace,
+taken down to Q, must be an integer of modulus <= k*phi(N).
+
+Nothing here touches floating point except
 :func:`decreasing_involution_residuals`, which numerically probes a conjugacy
 identity between a strictly decreasing involution on the positive reals and
 the negation map.
@@ -39,8 +50,11 @@ from .exactnum import (
     RationalField,
     _canonical,
     _fibonacci_pair,
+    _least_exponent,
     _poly_mul,
     _reduce,
+    _root_orders_lcm,
+    _traces,
 )
 
 
@@ -147,11 +161,13 @@ class AffineFirstIterate:
     ``matrix`` and ``offset`` hold elements of ``field``, coerced on entry;
     the integral pair that the powers run on is lifted from them once, here.
     The powers pair**(2**j) kept in ``_squares`` are replaced whole: threads read a prefix.
+    ``companion`` marks a map's first iterate, whose row 0 is a_1..a_k.
     """
 
     matrix: tuple
     offset: tuple
     field: Field
+    companion: bool = dataclass_field(default=False, repr=False, compare=False)
     _squares: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -191,7 +207,7 @@ def build_first_iterate(spec: AffineMapSpec) -> AffineFirstIterate:
         for j in range(k)
     ]
     matrix = tuple(tuple(col[i] - offset[i] for col in columns) for i in range(k))
-    return AffineFirstIterate(matrix, offset, spec.field)
+    return AffineFirstIterate(matrix, offset, spec.field, companion=True)
 
 
 def _power_image(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
@@ -218,21 +234,30 @@ def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> 
     return image if n else tuple(state)
 
 
-def affine_involutory_order(it: AffineFirstIterate, bound: int) -> int | None:
-    """Least n <= bound with matrix**n the identity and zero accumulated
-    offset, or None if no such n exists within the bound."""
-    if bound < 1:
+def affine_involutory_order(it: AffineFirstIterate, bound: int | None) -> int | None:
+    """The least n >= 1 with pair**n the identity pair, decided as the module
+    docstring says; None if there is none, or none up to ``bound``."""
+    if bound is not None and bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    pair = power = it._square(0)
-    zero = [0] * len(pair.offset[0])
-    ident = [[[int(i == j)] + zero[1:] for j in range(it.arity)] for i in range(it.arity)]
-    for n in range(1, bound + 1):
-        if n > 1:
-            power = pair.after(power)
-        # in lowest terms the identity pair has denominator 1
-        if power.den == 1 and power.matrix == ident and all(x == zero for x in power.offset):
-            return n
-    return None
+    first, k = it._square(0), it.arity
+    top, cap = _root_orders_lcm(first.order, k), k * len(first.offset[0])
+    if it.companion:  # row 0 is a_1..a_k; Q has one coordinate
+        a, (coords, den) = it.matrix[0], _integral(it.matrix[0])
+        bounded = len(coords[0]) > 1 or all(abs(x[0]) <= math.comb(k, i) for i, x in enumerate(coords))
+        if den != 1 or a[0] ** (2 * first.order) != 1 or not bounded:
+            return None
+    for sq in map(it._square, range(top.bit_length())):
+        # den times the trace to Q of the trace: of k*phi(N) roots of unity
+        t = sum(c * w for i, row in enumerate(sq.matrix) for c, w in zip(row[i], _traces(sq.order)))
+        if t % sq.den or abs(t) > cap * sq.den:
+            return None
+    n, zero, one = 1, it.field.zero(), it.field.one()
+    for v in [tuple(one if j == i else zero for j in range(k)) for i in range(-1, k)]:
+        if _power_image(it, v, n) != v:  # a point the lcm so far fixes needs no descent
+            if _power_image(it, v, top) != v:
+                return None
+            n = math.lcm(n, _least_exponent(top, lambda m, v=v: _power_image(it, v, m) == v))
+    return n if bound is None or n <= bound else None
 
 
 # ---------------------------------------------------------------------------

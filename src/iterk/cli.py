@@ -159,7 +159,7 @@ def _cmd_order(args) -> int:
         order = iterk.tables.cycle_report(src).minimal_order
     else:
         it = iterk.affine.build_first_iterate(iterk.parser.to_affine(src))
-        order = iterk.affine.affine_involutory_order(it, args.bound)
+        order = iterk.affine.affine_involutory_order(it, None)
     return _answer(args, "minimal_order", order)
 
 
@@ -334,7 +334,7 @@ def _sum_map_check(rng):
         spec = iterk.parser.to_affine(d)
         it = iterk.affine.build_first_iterate(spec)
         fmap = iterk.parser.to_kary_map(d)
-        order = iterk.affine.affine_involutory_order(it, 50)
+        order = iterk.affine.affine_involutory_order(it, None)
         if order != k + 1:
             return False, f"k={k}: minimal order {order} != {k + 1}"
         seed = tuple(_rand_fraction(rng) for _ in range(k))
@@ -369,7 +369,7 @@ def _roots_check():
     for n in range(13):
         if iterk.affine.linear_roots_checks(3, "full", n, s) != iterk.engine.iterate(fmap, s, n):
             return False, f"product form mismatch at n={n}"
-    if iterk.affine.affine_involutory_order(it, 50) is not None:
+    if iterk.affine.affine_involutory_order(it, None) is not None:
         return False, "unexpectedly involutory"
     one, zero = fld.one(), fld.zero()
     if fmap.apply((one, zero)) == fmap.apply((zero, one)):
@@ -448,10 +448,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "orbit", "trajectory of a seed state", _cmd_orbit, "map", seed=True,
         max_steps=dict(type=int, default=100),
     )
-    command(
-        "order", "minimal involutory order", _cmd_order, "map",
-        bound=dict(type=int, default=50, help="search bound for definitions"),
-    )
+    command("order", "minimal involutory order", _cmd_order, "map")
     command(
         "point-order", "minimal n with the n-th iterate fixing the seed", _cmd_point_order,
         "map", seed=True,

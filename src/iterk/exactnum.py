@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from typing import Callable
 
 from .errors import BudgetError
 
@@ -67,17 +68,55 @@ def _poly_mul(a, b, out: list[int] | None = None) -> list[int]:
     return out
 
 
+def _factor(n: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1: the one trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        out += [(p, e)] * (e > 0)
+        p += 1
+    return out + [(n, 1)] * (n > 1)
+
+
 def _mobius(n: int) -> int:
     # 0 unless n is squarefree, else -1 to the number of its prime factors
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if n > 1 else mu
+    return prod(-1 if e == 1 else 0 for _, e in _factor(n))
+
+
+def _totient(n: int) -> int:
+    return prod(p ** (e - 1) * (p - 1) for p, e in _factor(n))
+
+
+@lru_cache(maxsize=None)
+def _traces(order: int) -> tuple[int, ...]:
+    # the traces to Q of z^i, i < phi(order): Ramanujan's sums
+    return tuple(sum(d * _mobius(order // d) for d in range(1, order + 1) if gcd(order, i) % d == 0)
+                 for i in range(_totient(order)))
+
+
+def _root_orders_lcm(order: int, degree: int) -> int:
+    """The lcm of every d with phi(lcm(order, d)) <= degree * phi(order): the
+    orders of the roots of unity of degree <= ``degree`` over Q(zeta_order)."""
+    top, out = degree * _totient(order), 1
+    for p in range(2, max(order, degree + 1) + 1):  # p - 1 <= degree unless p | order
+        q = p
+        while _factor(p) == [(p, 1)] and _totient(lcm(order, q)) <= top:
+            q *= p
+        out *= q // p
+    return out
+
+
+def _least_exponent(n: int, works: Callable[[int], bool]) -> int:
+    """The least m | n with works(m), when works holds at n and exactly on the
+    multiples of that m: the element-order descent over n's prime powers."""
+    for p, e in _factor(n):
+        m = n // p**e
+        while m != n and not works(m):  # works(n) holds: it is not asked again
+            m *= p
+        n = m
+    return n
 
 
 @dataclass(frozen=True)

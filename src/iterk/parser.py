@@ -460,8 +460,8 @@ _ARITHMETIC = {RationalField: _Q_PAIRS, CyclotomicField: _ELEMENTS}
 
 
 def _compile(expr: MapExpr, field: Field, arity: int, table=None) -> Callable[[tuple], object]:
-    """The tree as a function of the state tuple, its literals folded into
-    ``field`` once; variables past ``arity`` are a :class:`ParseError`.
+    """The tree as a function of the state tuple, its literals and constant
+    subtrees folded into ``field`` once; variables past ``arity`` are a :class:`ParseError`.
     The closures run on an arithmetic table, by default the field's: over
     Q(zeta) the elements' operators; over Q integer (numerator, denominator)
     pairs, d > 0, and a root that takes only int and Fraction elements and
@@ -470,7 +470,15 @@ def _compile(expr: MapExpr, field: Field, arity: int, table=None) -> Callable[[t
     literal, root, ops = table or _ARITHMETIC[type(field)]
     neg = ops["neg"]
 
-    def walk(expr: MapExpr) -> Callable:
+    def closure(node):
+        return (lambda s, v=node[0]: v) if isinstance(node, tuple) else node
+
+    def settled(fn, nodes):
+        # with every operand constant the node's value is computed once, here
+        return (fn(()),) if all(isinstance(node, tuple) for node in nodes) else fn
+
+    def walk(expr: MapExpr):
+        # a closure of the state, or a constant subtree's value in a 1-tuple
         while isinstance(expr, Group):
             expr = expr.inner
         if isinstance(expr, Var):
@@ -479,31 +487,30 @@ def _compile(expr: MapExpr, field: Field, arity: int, table=None) -> Callable[[t
                 raise ParseError(msg, *expr.at)
             return operator.itemgetter(expr.index - 1)
         if isinstance(expr, RationalLit):
-            value = literal(field.coerce(expr.value))
-            return lambda s: value
+            return (literal(field.coerce(expr.value)),)
         if isinstance(expr, ZetaLit):
             if isinstance(field, RationalField):
                 raise ParseError("root-of-unity literal in a rational context", *expr.at)
             if field.order % expr.order:
                 raise ParseError(f"zeta({expr.order}) is not in {field}", *expr.at)
-            value = literal(field.coerce(CyclotomicField(expr.order).zeta(expr.power)))
-            return lambda s: value
+            return (literal(field.coerce(CyclotomicField(expr.order).zeta(expr.power))),)
         if isinstance(expr, Neg):
-            operand = walk(expr.operand)
-            return lambda s: neg(operand(s))
-        chain = _chain(expr)
-        first, rest = walk(chain[0][1]), []
-        for op, operand in chain[1:]:  # a comprehension would add a frame per level
-            rest.append((ops[op], walk(operand)))
+            node = walk(expr.operand)
+            return settled(lambda s, operand=closure(node): neg(operand(s)), [node])
+        chain, nodes = _chain(expr), []
+        for _, operand in chain:  # a comprehension would add a frame per level
+            nodes.append(walk(operand))
+        first = closure(nodes[0])
+        rest = [(ops[op], closure(node)) for (op, _), node in zip(chain[1:], nodes[1:])]
 
         def fold(s):
             acc = first(s)
             for op, f in rest:
                 acc = op(acc, f(s))
             return acc
-        return fold
+        return settled(fold, nodes)
 
-    return root(walk(expr), field)
+    return root(closure(walk(expr)), field)
 
 
 def eval_scalar(expr: MapExpr, field: Field | None = None):

@@ -70,7 +70,9 @@ def state_from_index(idx: int, m: int, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class FiniteTable:
-    """Dense value table of a map {0..m-1}**k -> {0..m-1}."""
+    """Dense value table of a map {0..m-1}**k -> {0..m-1}.  A contiguous int64
+    array of entries is adopted, not copied, and made read-only for its
+    caller too; other inputs are copied and stay writable."""
 
     m: int
     k: int

@@ -27,7 +27,13 @@ from iterk.affine import (
 )
 from iterk.engine import KaryMap, first_iterate, iterate
 from iterk.errors import ArityError
-from iterk.exactnum import CyclotomicField, CyclotomicNumber, RationalField, cyclotomic_polynomial
+from iterk.exactnum import (
+    CyclotomicField,
+    CyclotomicNumber,
+    RationalField,
+    _root_orders_lcm,
+    cyclotomic_polynomial,
+)
 from iterk.parser import parse_map_def, to_affine
 
 
@@ -518,6 +524,124 @@ class TestDifferentialAgainstObjectArrays:
         d = parse_map_def("f(x1) = zeta(3)*x1 + zeta(4)")
         it = build_first_iterate(to_affine(d))
         assert affine_involutory_order(it, 50) == object_array_order(it, 50) == 3
+
+
+EXACT_FIELDS = (RationalField(),) + tuple(CyclotomicField(n) for n in (3, 4, 5, 6, 8, 12))
+
+
+@functools.lru_cache(maxsize=None)
+def universal_exponent(n, k):
+    """The lcm of every d with phi(lcm(n, d)) <= k*phi(n), trying every d up
+    to 2*(k*phi(n))**2, past which phi(d) alone is larger."""
+    def phi(m):
+        out, p = m, 2
+        while p * p <= m:
+            if m % p == 0:
+                out -= out // p
+                while m % p == 0:
+                    m //= p
+            p += 1
+        return out - out // m if m > 1 else out
+    cap = k * phi(n)
+    return math.lcm(*(d for d in range(1, 2 * cap * cap + 1) if phi(math.lcm(n, d)) <= cap))
+
+
+def scan_order(it, steps):
+    """The least n <= steps with the pair's n-th power the identity pair,
+    one product per step."""
+    pair = power = it._square(0)
+    zero = [0] * len(pair.offset[0])
+    ident = [[[int(i == j)] + zero[1:] for j in range(it.arity)] for i in range(it.arity)]
+    for n in range(1, steps + 1):
+        if power.den == 1 and power.matrix == ident and all(x == zero for x in power.offset):
+            return n
+        power = pair.after(power)
+    return None
+
+
+def unit_root_spec(rng, fld, k, repeat):
+    """The map whose one-term shift has as characteristic polynomial a
+    product of factors x - r, r a root of unity in the field, and cyclotomic
+    polynomials, so its coefficients meet every necessary condition.  With
+    ``repeat`` (k >= 2) one x - r comes twice: a Jordan block and no finite
+    order, unless the constant or another factor makes the scan say else."""
+    order = getattr(fld, "order", 1)
+    roots = [fld.zeta(j) * s for j in range(order) for s in (1, -1)] if order > 1 else [1, -1]
+    factors = [[-fld.coerce(rng.choice(roots)), fld.one()]] * (2 if repeat else 0)
+    while (room := k + len(factors) - sum(map(len, factors))) > 0:
+        cyclo = [d for d in (3, 4, 5, 6, 8, 10, 12) if cyclotomic_polynomial(d).degree <= room]
+        if cyclo and rng.random() < 0.4:
+            factors.append([fld.coerce(c) for c in cyclotomic_polynomial(rng.choice(cyclo)).coefficients])
+        else:
+            factors.append([-fld.coerce(rng.choice(roots)), fld.one()])
+    poly = [fld.one()]
+    for f in factors:
+        prod = [fld.zero()] * (len(poly) + len(f) - 1)
+        for i, x in enumerate(poly):
+            for j, y in enumerate(f):
+                prod[i + j] = prod[i + j] + x * y
+        poly = prod
+    # poly is x^k - a_k x^(k-1) - ... - a_1
+    constant = rng.choice((fld.zero(), fld.one(), fld.coerce(Fraction(1, 2))))
+    return AffineMapSpec(k, tuple(-c for c in poly[:k]), constant, fld)
+
+
+class TestExactOrder:
+    """The decided order against a scan of at least L steps, L the lcm of
+    every possible eigenvalue order; pytest.fail keeps it under python -O."""
+
+    @pytest.mark.parametrize("fld", EXACT_FIELDS, ids=str)
+    def test_decision_matches_a_scan_past_the_universal_exponent(self, fld):
+        rng = random.Random(f"exact orders {fld}")
+        tops = 4 if isinstance(fld, RationalField) else 3
+        cases = []
+        for t in range(60):
+            k = 1 + t % tops
+            kind = ("unit", "roots", "repeated", "conjugated", "dense")[t % 5]
+            if kind == "unit":
+                it = build_first_iterate(random_spec(rng, fld, k, unit=True))
+            elif kind == "roots":
+                it = build_first_iterate(unit_root_spec(rng, fld, k, False))
+            elif kind == "repeated":
+                it = build_first_iterate(unit_root_spec(rng, fld, max(k, 2), True))
+            elif kind == "conjugated":
+                it = conjugated_sum_map(rng, fld, k)
+            else:
+                it = build_first_iterate(random_spec(rng, fld, k))
+            cases.append((kind, it))
+        found, wrong = {}, []
+        for kind, it in cases:
+            steps = universal_exponent(getattr(fld, "order", 1), it.arity)
+            got, want = affine_involutory_order(it, None), scan_order(it, steps)
+            if got != want:
+                wrong.append(f"{kind} {it.matrix} {it.offset}: {got} != scan {want}")
+            for bound in (1, 2, 5, 12):
+                if affine_involutory_order(it, bound) != (want if want and want <= bound else None):
+                    wrong.append(f"{kind} {it.matrix} at bound {bound}")
+            found.setdefault(kind, []).append(want)
+        if wrong:
+            pytest.fail("\n".join(wrong[:5]))
+        # finite orders, and maps that meet the coefficient conditions with
+        # no finite order, both turn up
+        finite = [n for ns in found.values() for n in ns if n]
+        if len(finite) < 20 or None in found["conjugated"] or None not in found["repeated"]:
+            pytest.fail(f"too few cases of each kind: {found}")
+
+    @pytest.mark.parametrize("body", [
+        "(1 + zeta(4))*x1",  # |a_1| = sqrt 2, and the traces of two squares pass
+        "zeta(3)*x1 + 1/2*x2",  # a_2 is not an algebraic integer
+        "2*x1 + x2",  # a_1 is not a root of unity
+        "x1 + 3*x2",  # |a_2| > C(2, 1)
+    ])
+    def test_coefficient_conditions_form_no_square(self, body):
+        it = build_first_iterate(to_affine(parse_map_def(f"f(x1,x2) = {body}")))
+        if affine_involutory_order(it, None) is not None or len(it._squares) != 1:
+            pytest.fail(f"{body}: squares were formed, or an order was found")
+
+    def test_universal_exponents(self):
+        for (n, k), want in {(64, 2): 384, (1, 6): 2520, (64, 4): 3840, (1, 10): 55440}.items():
+            if universal_exponent(n, k) != want or _root_orders_lcm(n, k) != want:
+                pytest.fail(f"L at {(n, k)} is not {want}")
 
 
 SQUARES_FIELDS = (RationalField(),) + tuple(CyclotomicField(n) for n in (3, 4, 8))

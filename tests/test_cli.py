@@ -119,6 +119,25 @@ class TestOrderAndCycles:
         code, out, _ = run_cli(capsys, "order", "--def", "f(x1,x2)=1-x1-x2")
         assert code == 0 and out.strip() == "3"
 
+    @pytest.mark.parametrize("body, arity, want", [
+        # orders past the 50 steps the former --bound scanned
+        ("zeta(64)*x1", 1, 64),
+        ("zeta(60)*x1 + 1", 1, 60),
+        ("zeta(53)*x1", 1, 53),
+        # no finite order: an eigenvalue off the unit circle, and one the
+        # trace of a kept square finds before any large power is formed
+        ("zeta(64)*x1 + x2", 2, None),
+        ("x1 + x2", 2, None),
+        ("x1 + x2 + x10", 10, None),
+    ])
+    def test_affine_order_is_exact(self, capsys, body, arity, want):
+        xs = ",".join(f"x{i}" for i in range(1, arity + 1))
+        argv = ["order", "--def", f"f({xs}) = {body}"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, f"{'none' if want is None else want}\n")
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert (code, json.loads(out)) == (0, {"minimal_order": want})
+
     def test_non_affine_rejected(self, capsys):
         code, _, err = run_cli(capsys, "order", "--def", "f(x1,x2)=x1*x2")
         assert code == 2 and "affine" in err
@@ -542,7 +561,7 @@ def _surface(parser) -> str:
 CLI_SURFACE = {
     "iterate": "(--def>map_def | --table)! --seed --json:flag --n:int!",
     "orbit": "(--def>map_def | --table)! --seed --json:flag --max-steps:int=100",
-    "order": "(--def>map_def | --table)! --json:flag --bound:int=50",
+    "order": "(--def>map_def | --table)! --json:flag",
     "point-order": "(--def>map_def | --table)! --seed --json:flag --bound:int=1000",
     "check-ii": "--table! --json:flag --n:int! --arg:int",
     "symmetric": "--table! --json:flag",

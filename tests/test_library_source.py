@@ -118,3 +118,26 @@ def test_table_inputs_enter_through_two_rules():
         "raised": {"tables.py:_positive"},
         "cast": {"tables.py:_symbols"},
     }
+
+
+def test_integer_trial_division_is_one_function():
+    # the Moebius function, totients, trace sums, the universal exponent and
+    # the order descent all factor through exactnum._factor: no other loop
+    # tries divisors up to a square root
+    def square_bound(node):
+        return isinstance(node, ast.While) and any(
+            isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+            and ast.dump(n.left) == ast.dump(n.right)
+            or isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+            or "isqrt" in {getattr(n, "id", None), getattr(n, "attr", None)}
+            for n in ast.walk(node.test)
+        )
+
+    found = {
+        f"{name}:{fn.name}"
+        for name, fn in _nodes()
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if square_bound(node)
+    }
+    assert found == {"exactnum.py:_factor"}

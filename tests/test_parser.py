@@ -1,5 +1,6 @@
 """Definition grammar: parsing, rendering, affine extraction, fuzz safety."""
 
+import collections
 import math
 import operator
 import random
@@ -414,6 +415,39 @@ class TestRationalEvaluation:
         f = to_kary_map(parse_map_def("f(x1,x2) = 2*x1 + x2"))
         with pytest.raises(TypeError, match=re.escape(f"{value!r} is not an element of Q")):
             f.apply((Fraction(1), value))
+
+
+class TestConstantFolding:
+    # each table with its field and a state for f(x1,x2); to_affine's table
+    # runs on the degree-one forms of x1 and x2
+    TABLES = {
+        "_Q_PAIRS": (RationalField(), (Fraction(1), Fraction(2))),
+        "_ELEMENTS": (CyclotomicField(3), (CyclotomicField(3).zeta(), CyclotomicField(3).one())),
+        "_FORMS": (RationalField(), (({0: Fraction(1)}, Fraction(0)), ({1: Fraction(1)}, Fraction(0)))),
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_constant_subtrees_run_once_at_compile_time(self, name):
+        counts = collections.Counter()
+
+        def counted(op, fn):
+            def run(*args):
+                counts[op] += 1
+                return fn(*args)
+            return run
+
+        literal, root, ops = getattr(iterk.parser, name)
+        table = (literal, root, {op: counted(op, fn) for op, fn in ops.items()})
+        fld, state = self.TABLES[name]
+        plain = parse_map_def("f(x1,x2) = x1*5/6 + 6 + x2")
+        folded = parse_map_def("f(x1,x2) = x1*(1/2 + 1/3) - (-(2*3)) + x2")
+        f = iterk.parser._compile(folded.expr, fld, 2, table)
+        # 1/2 + 1/3, 2*3 and its negation, each once
+        assert counts == {"+": 1, "*": 1, "neg": 1}
+        for _ in range(4):
+            got = f(state)
+        assert counts == {"+": 5, "*": 5, "-": 4, "neg": 1}
+        assert got == iterk.parser._compile(plain.expr, fld, 2, table)(state)
 
 
 class TestFuzz:

@@ -24,9 +24,9 @@ CLI_LINES = [
 ]
 
 
-def test_the_cli_block_has_five_checked_lines():
-    if len(CLI_LINES) != 5:
-        pytest.fail(f"expected 5 '# ->' lines in README's CLI block, got {CLI_LINES}")
+def test_the_cli_block_has_six_checked_lines():
+    if len(CLI_LINES) != 6:
+        pytest.fail(f"expected 6 '# ->' lines in README's CLI block, got {CLI_LINES}")
 
 
 @pytest.mark.parametrize("line", CLI_LINES, ids=lambda line: line.split()[1])

@@ -87,6 +87,23 @@ class TestFiniteTable:
         with pytest.raises(ValueError):
             ADD_MOD3.entries[0] = 1
 
+    def test_a_contiguous_int64_array_is_adopted_and_frozen(self):
+        a = np.array([0, 1, 1, 0], dtype=np.int64)
+        table = FiniteTable(2, 2, a)
+        assert np.shares_memory(table.entries, a) and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+
+    @pytest.mark.parametrize("given", [
+        [0, 1, 1, 0],
+        np.array([0, 1, 1, 0], dtype=np.int32),
+        np.array([0, 9, 1, 9, 1, 9, 0, 9], dtype=np.int64)[::2],  # not contiguous
+    ], ids=["list", "int32", "strided"])
+    def test_other_inputs_are_copied_and_stay_writable(self, given):
+        table = FiniteTable(2, 2, given)
+        given[0] = 1
+        assert given[0] == 1 and table.values() == (0, 1, 1, 0)
+
     def test_equality_and_hash(self):
         other = FiniteTable.from_values(3, 2, [0, 1, 2, 1, 2, 0, 2, 0, 1])
         assert other == ADD_MOD3 and hash(other) == hash(ADD_MOD3)
