@@ -19,14 +19,14 @@ pair applied to a state u/s is (A*u + s*b)/(D*s).  Each square and
 application takes one common gcd out of its entries and denominator; result
 values take one gcd each.
 
-The involutory order is decided, not searched for: it is the lcm of the
-point orders of 0 and the unit vectors, each the least divisor of L that
-works, or None when pair**L moves one of them.  L is the lcm of the d with
-phi(lcm(N, d)) <= k*phi(N), the orders of the roots of unity of degree <= k
-over Q(zeta_N).  Most other maps fail sooner: a map's coefficients must lie
-in Z[zeta_N], with a_1 a root of unity and, over Q, |a_i| <= C(k, i-1)
-(Kronecker, J. reine angew. Math. 53, 1857), and each kept square's trace,
-taken down to Q, must be an integer of modulus <= k*phi(N).
+The involutory order is decided, not searched for.  The traces of the
+matrix's first k powers give its characteristic polynomial, which taken down
+to Q must be a product of cyclotomic polynomials: else an eigenvalue is no
+root of unity, the order is None, and no square is kept.  Then the powers
+grow at most polynomially, and the order is the lcm of the point orders of 0
+and the unit vectors, each the least divisor of L that works, or None when
+pair**L moves one of them.  L is the lcm of the d with phi(lcm(N, d)) <=
+k*phi(N), the orders of the roots of unity of degree <= k over Q(zeta_N).
 
 Nothing here touches floating point except
 :func:`decreasing_involution_residuals`, which numerically probes a conjugacy
@@ -54,7 +54,7 @@ from .exactnum import (
     _poly_mul,
     _reduce,
     _root_orders_lcm,
-    _traces,
+    _roots_of_unity,
 )
 
 
@@ -161,13 +161,11 @@ class AffineFirstIterate:
     ``matrix`` and ``offset`` hold elements of ``field``, coerced on entry;
     the integral pair that the powers run on is lifted from them once, here.
     The powers pair**(2**j) kept in ``_squares`` are replaced whole: threads read a prefix.
-    ``companion`` marks a map's first iterate, whose row 0 is a_1..a_k.
     """
 
     matrix: tuple
     offset: tuple
     field: Field
-    companion: bool = dataclass_field(default=False, repr=False, compare=False)
     _squares: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -207,7 +205,7 @@ def build_first_iterate(spec: AffineMapSpec) -> AffineFirstIterate:
         for j in range(k)
     ]
     matrix = tuple(tuple(col[i] - offset[i] for col in columns) for i in range(k))
-    return AffineFirstIterate(matrix, offset, spec.field, companion=True)
+    return AffineFirstIterate(matrix, offset, spec.field)
 
 
 def _power_image(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
@@ -240,17 +238,18 @@ def affine_involutory_order(it: AffineFirstIterate, bound: int | None) -> int | 
     if bound is not None and bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     first, k = it._square(0), it.arity
-    top, cap = _root_orders_lcm(first.order, k), k * len(first.offset[0])
-    if it.companion:  # row 0 is a_1..a_k; Q has one coordinate
-        a, (coords, den) = it.matrix[0], _integral(it.matrix[0])
-        bounded = len(coords[0]) > 1 or all(abs(x[0]) <= math.comb(k, i) for i, x in enumerate(coords))
-        if den != 1 or a[0] ** (2 * first.order) != 1 or not bounded:
+    power, sums = first, []
+    for m in range(k):
+        # the trace of matrix**(m+1), the eigenvalues' power sum: for roots of
+        # unity an algebraic integer, so its coordinates are integers
+        power = first.after(power) if m else first
+        t = [sum(c) for c in zip(*(row[i] for i, row in enumerate(power.matrix)))]
+        if any(c % power.den for c in t):
             return None
-    for sq in map(it._square, range(top.bit_length())):
-        # den times the trace to Q of the trace: of k*phi(N) roots of unity
-        t = sum(c * w for i, row in enumerate(sq.matrix) for c, w in zip(row[i], _traces(sq.order)))
-        if t % sq.den or abs(t) > cap * sq.den:
-            return None
+        sums.append([c // power.den for c in t])
+    top = _root_orders_lcm(first.order, k)
+    if not _roots_of_unity(first.order, sums, top):
+        return None
     n, zero, one = 1, it.field.zero(), it.field.one()
     for v in [tuple(one if j == i else zero for j in range(k)) for i in range(-1, k)]:
         if _power_image(it, v, n) != v:  # a point the lcm so far fixes needs no descent

@@ -100,11 +100,60 @@ def _root_orders_lcm(order: int, degree: int) -> int:
     """The lcm of every d with phi(lcm(order, d)) <= degree * phi(order): the
     orders of the roots of unity of degree <= ``degree`` over Q(zeta_order)."""
     top, out = degree * _totient(order), 1
-    for p in range(2, max(order, degree + 1) + 1):  # p - 1 <= degree unless p | order
+    primes = [p for p in range(2, max(order, degree + 1) + 1) if _factor(p) == [(p, 1)]]
+    for p in primes:  # p - 1 <= degree unless p | order
         q = p
-        while _factor(p) == [(p, 1)] and _totient(lcm(order, q)) <= top:
+        while _totient(lcm(order, q)) <= top:
             q *= p
         out *= q // p
+    return out
+
+
+def _elementary(order: int, sums: list) -> list | None:
+    """e_0..e_n from the power sums p_1..p_n of n numbers by Newton's
+    identities, m e_m = sum (-1)^(i-1) e_(m-i) p_i, as coordinate lists in
+    Z[zeta_order]; None when some e_m is not integral."""
+    e = [[1] + [0] * (len(sums[0]) - 1)]
+    for m in range(1, len(sums) + 1):
+        acc = [0] * (2 * len(e[0]) - 1)
+        for i in range(1, m + 1):
+            _poly_mul([c if i % 2 else -c for c in e[m - i]], sums[i - 1], acc)
+        if any(c % m for c in _reduce(order, acc)):
+            return None
+        e.append([c // m for c in acc])
+    return e
+
+
+def _roots_of_unity(order: int, sums: list, top: int) -> bool:
+    """Whether the n numbers with power sums ``sums`` (p_1..p_n in
+    Z[zeta_order]) are roots of unity of orders dividing ``top``: their
+    polynomial, taken down to Q, is a product of cyclotomic polynomials."""
+    e, d, sums = _elementary(order, sums), len(sums) * len(sums[0]), list(sums)
+    if e is None:
+        return False
+    for m in range(len(sums) + 1, d + 1):  # p_m for m > n, by the same identities
+        acc = [0] * (2 * len(e[0]) - 1)
+        for i in range(1, len(e)):
+            _poly_mul([c if i % 2 else -c for c in e[i]], sums[m - i - 1], acc)
+        sums.append(_reduce(order, acc))
+    e = _elementary(1, [[sum(map(prod, zip(p, _traces(order))))] for p in sums])
+    poly = [(-1) ** m * c for m, (c,) in reversed(list(enumerate(e or [])))]  # ascending
+    divisors = [(1, 1)]
+    for p, k in _factor(top):
+        divisors = [(q * p**i, t * (p**i - p**i // p)) for q, t in divisors for i in range(k + 1)]
+    for q, t in divisors:
+        while 0 < t < len(poly) and not any((rest := _divide(poly, _cyclotomic(q)))[:t]):
+            poly = rest[t:]
+    return poly == [1]
+
+
+def _divide(poly: list[int], q) -> list[int]:
+    """``poly`` over the monic ``q`` of degree t, in one list: the remainder
+    below index t and the quotient from t up."""
+    out, t = list(poly), len(q) - 1
+    for i in range(len(out) - 1, t - 1, -1):
+        for j in range(t):
+            out[i - t + j] -= out[i] * q[j]
     return out
 
 
@@ -133,7 +182,19 @@ class CycloPolynomial:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> CycloPolynomial:
-    """Compute the n-th cyclotomic polynomial.
+    """The n-th cyclotomic polynomial, for n up to ``MAX_ROOT_ORDER``."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    if n > MAX_ROOT_ORDER:
+        raise BudgetError(
+            f"root order {n} exceeds the supported bound {MAX_ROOT_ORDER}"
+        )
+    return CycloPolynomial(n, _cyclotomic(n))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """The coefficients of Phi_n, ascending.
 
     For n > 1 it is the Moebius product over the divisors d of n of
     (1 - x^d)^mu(n/d), whose signs against the (x^d - 1)^mu(n/d) cancel
@@ -142,14 +203,8 @@ def cyclotomic_polynomial(n: int) -> CycloPolynomial:
     ``c[i] -= c[i-d]`` and a factor 1/(1 - x^d) an ascending pass
     ``c[i] += c[i-d]``, so every step is an integer addition.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n > MAX_ROOT_ORDER:
-        raise BudgetError(
-            f"root order {n} exceeds the supported bound {MAX_ROOT_ORDER}"
-        )
     if n == 1:
-        return CycloPolynomial(1, (-1, 1))
+        return (-1, 1)
     factors = [(d, _mobius(n // d)) for d in range(1, n + 1) if n % d == 0]
     deg = sum(d * mu for d, mu in factors)
     c = [1] + [0] * deg
@@ -160,7 +215,7 @@ def cyclotomic_polynomial(n: int) -> CycloPolynomial:
         elif mu == -1:
             for i in range(d, deg + 1):
                 c[i] += c[i - d]
-    return CycloPolynomial(n, tuple(c))
+    return tuple(c)
 
 
 @lru_cache(maxsize=None)

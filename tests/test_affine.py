@@ -4,6 +4,7 @@ floating-point conjugacy demo."""
 import functools
 import math
 import random
+import re
 import sys
 import threading
 from decimal import Decimal
@@ -562,9 +563,9 @@ def scan_order(it, steps):
 def unit_root_spec(rng, fld, k, repeat):
     """The map whose one-term shift has as characteristic polynomial a
     product of factors x - r, r a root of unity in the field, and cyclotomic
-    polynomials, so its coefficients meet every necessary condition.  With
-    ``repeat`` (k >= 2) one x - r comes twice: a Jordan block and no finite
-    order, unless the constant or another factor makes the scan say else."""
+    polynomials, so every eigenvalue is a root of unity.  With ``repeat``
+    (k >= 2) one x - r comes twice: a Jordan block and no finite order,
+    unless the constant or another factor makes the scan say else."""
     order = getattr(fld, "order", 1)
     roots = [fld.zeta(j) * s for j in range(order) for s in (1, -1)] if order > 1 else [1, -1]
     factors = [[-fld.coerce(rng.choice(roots)), fld.one()]] * (2 if repeat else 0)
@@ -628,13 +629,23 @@ class TestExactOrder:
             pytest.fail(f"too few cases of each kind: {found}")
 
     @pytest.mark.parametrize("body", [
-        "(1 + zeta(4))*x1",  # |a_1| = sqrt 2, and the traces of two squares pass
+        "3/2*x1",  # the trace is not an algebraic integer
+        "(1 + zeta(4))*x1",  # |a_1| = sqrt 2
         "zeta(3)*x1 + 1/2*x2",  # a_2 is not an algebraic integer
         "2*x1 + x2",  # a_1 is not a root of unity
         "x1 + 3*x2",  # |a_2| > C(2, 1)
+        "x1 + x2 + x10",
+        # the shift's characteristic polynomial is (x^6 - 3x^3 + 1)(x - 1)^m:
+        # a root of unity times r, r^3 = (3 + sqrt 5)/2, and the traces of
+        # the 2^j-th powers, j >= 0, are those of roots of unity
+        "x1 - x2 - 3*x4 + 3*x5 + x7",
+        "-x1 + 10*x2 - 45*x3 + 123*x4 - 240*x5 + 387*x6 - 571*x7 + 760*x8 - 846*x9"
+        " + 760*x10 - 571*x11 + 387*x12 - 240*x13 + 123*x14 - 45*x15 + 10*x16",
     ])
-    def test_coefficient_conditions_form_no_square(self, body):
-        it = build_first_iterate(to_affine(parse_map_def(f"f(x1,x2) = {body}")))
+    def test_no_finite_order_forms_no_square(self, body):
+        k = max(int(x) for x in re.findall(r"x(\d+)", body))
+        xs = ",".join(f"x{i}" for i in range(1, k + 1))
+        it = build_first_iterate(to_affine(parse_map_def(f"f({xs}) = {body}")))
         if affine_involutory_order(it, None) is not None or len(it._squares) != 1:
             pytest.fail(f"{body}: squares were formed, or an order was found")
 

@@ -124,11 +124,14 @@ class TestOrderAndCycles:
         ("zeta(64)*x1", 1, 64),
         ("zeta(60)*x1 + 1", 1, 60),
         ("zeta(53)*x1", 1, 53),
-        # no finite order: an eigenvalue off the unit circle, and one the
-        # trace of a kept square finds before any large power is formed
+        # no finite order: eigenvalues off the unit circle, which the
+        # characteristic polynomial shows before any large power is formed
         ("zeta(64)*x1 + x2", 2, None),
         ("x1 + x2", 2, None),
         ("x1 + x2 + x10", 10, None),
+        ("x1 - x2 - 3*x4 + 3*x5 + x7", 7, None),
+        ("-x1 + 10*x2 - 45*x3 + 123*x4 - 240*x5 + 387*x6 - 571*x7 + 760*x8 - 846*x9"
+         " + 760*x10 - 571*x11 + 387*x12 - 240*x13 + 123*x14 - 45*x15 + 10*x16", 16, None),
     ])
     def test_affine_order_is_exact(self, capsys, body, arity, want):
         xs = ",".join(f"x{i}" for i in range(1, arity + 1))
