@@ -21,12 +21,14 @@ values take one gcd each.
 
 The involutory order is decided, not searched for.  The traces of the
 matrix's first k powers give its characteristic polynomial, which taken down
-to Q must be a product of cyclotomic polynomials: else an eigenvalue is no
-root of unity, the order is None, and no square is kept.  Then the powers
+to Q must be a product of cyclotomic polynomials Phi_d, d | L: else an
+eigenvalue is no root of unity, the order is None, and no square is kept.
+L is the lcm of the d with phi(lcm(N, d)) <= k*phi(N), the orders of the
+roots of unity of degree <= k over Q(zeta_N).  Every eigenvalue's order is
+one of the d found, so a finite order divides their lcm D.  Then the powers
 grow at most polynomially, and the order is the lcm of the point orders of 0
-and the unit vectors, each the least divisor of L that works, or None when
-pair**L moves one of them.  L is the lcm of the d with phi(lcm(N, d)) <=
-k*phi(N), the orders of the roots of unity of degree <= k over Q(zeta_N).
+and the unit vectors, each the least divisor of D that works, or None when
+pair**D moves one of them.
 
 Nothing here touches floating point except
 :func:`decreasing_involution_residuals`, which numerically probes a conjugacy
@@ -42,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .engine import Element, KaryMap, State, first_iterate
-from .errors import ArityError
+from .errors import ArityError, _count, _state
 from .exactnum import (
     CyclotomicField,
     CyclotomicNumber,
@@ -68,8 +70,7 @@ class AffineMapSpec:
     field: Field
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ArityError(f"arity must be >= 1, got {self.arity}")
+        object.__setattr__(self, "arity", _count(self.arity, "arity"))
         if len(self.coefficients) != self.arity:
             raise ValueError(
                 f"expected {self.arity} coefficients, got {len(self.coefficients)}"
@@ -211,9 +212,7 @@ def build_first_iterate(spec: AffineMapSpec) -> AffineFirstIterate:
 def _power_image(it: AffineFirstIterate, state: Sequence[Element], n: int) -> State:
     """The n-th iterate of ``state``, taken in through ``it.field.coerce``:
     bit j of n applies the kept 2**j-th power of the pair."""
-    if len(state) != it.arity:
-        raise ArityError(f"state length {len(state)} != arity {it.arity}")
-    v, s = _integral(map(it.field.coerce, state))
+    v, s = _integral(map(it.field.coerce, _state(state, it.arity)))
     for pair in (it._square(j) for j in range(n.bit_length()) if n >> j & 1):
         s, (v,) = _lowest(pair.den * s, pair.image(v, s))
     if isinstance(it.field, RationalField):
@@ -226,17 +225,15 @@ def affine_iterate(it: AffineFirstIterate, state: Sequence[Element], n: int) -> 
     pair.  The state enters through ``it.field.coerce``, so an element the
     field does not hold is an error (a float or str is a TypeError) and the
     result is in the pair's field; at n = 0 the state's own objects come back."""
-    if n < 0:
-        raise ValueError(f"iterate count must be >= 0, got {n}")
+    state, n = _state(state, it.arity), _count(n, "iterate count", 0)
     image = _power_image(it, state, n)  # at n = 0: the state, admitted and coerced
-    return image if n else tuple(state)
+    return image if n else state
 
 
 def affine_involutory_order(it: AffineFirstIterate, bound: int | None) -> int | None:
     """The least n >= 1 with pair**n the identity pair, decided as the module
     docstring says; None if there is none, or none up to ``bound``."""
-    if bound is not None and bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    bound = bound if bound is None else _count(bound, "bound")
     first, k = it._square(0), it.arity
     power, sums = first, []
     for m in range(k):
@@ -247,8 +244,9 @@ def affine_involutory_order(it: AffineFirstIterate, bound: int | None) -> int | 
         if any(c % power.den for c in t):
             return None
         sums.append([c // power.den for c in t])
-    top = _root_orders_lcm(first.order, k)
-    if not _roots_of_unity(first.order, sums, top):
+    # every eigenvalue's order divides top, so a finite order does too
+    top = _roots_of_unity(first.order, sums, _root_orders_lcm(first.order, k))
+    if top is None:
         return None
     n, zero, one = 1, it.field.zero(), it.field.one()
     for v in [tuple(one if j == i else zero for j in range(k)) for i in range(-1, k)]:
@@ -270,12 +268,8 @@ def _fib_triple(n: int) -> tuple[int, int, int]:
 
 def fibonacci_closed_form(n: int, state: Sequence[Element]) -> State:
     """n-th iterate of the pair-sum map: (F[2n-1]x1 + F[2n]x2, F[2n]x1 + F[2n+1]x2)."""
-    if len(state) != 2:
-        raise ArityError("the pair-sum closed form needs a state of 2 elements")
-    if n < 0:
-        raise ValueError(f"iterate count must be >= 0, got {n}")
-    x1, x2 = state
-    a, b, c = _fib_triple(n)
+    x1, x2 = _state(state, 2)
+    a, b, c = _fib_triple(_count(n, "iterate count", 0))
     return (a * x1 + b * x2, b * x1 + c * x2)
 
 
@@ -287,10 +281,8 @@ def sum_map_closed_form(
     Reduces the index modulo k+1; step p maps the state to
     (x[k-p+2], ..., xk, A - sum(x), x1, ..., x[k-p]).
     """
-    if len(state) != k:
-        raise ArityError(f"state length {len(state)} != arity {k}")
-    state = tuple(state)
-    p = iterate_index % (k + 1)
+    state = _state(state, k)
+    p = _count(iterate_index, "iterate count", 0) % (k + 1)
     if p == 0:
         return state
     total = state[0]
@@ -316,10 +308,7 @@ def projection_family_iterate(
     """
     if not 1 <= j <= k:
         raise ArityError(f"position {j} out of range 1..{k}")
-    if len(state) != k:
-        raise ArityError(f"state length {len(state)} != arity {k}")
-    if n < 0:
-        raise ValueError(f"iterate count must be >= 0, got {n}")
+    state, n = _state(state, k), _count(n, "iterate count", 0)
     d, out = k - j + 1, list(state)
     for s in range(k - d, k):
         v = state[s]
@@ -354,10 +343,7 @@ def linear_roots_checks(
     When a full induced cycle is requested (count divisible by the order) the
     result is checked to reproduce the input exactly.
     """
-    if len(state) != 2:
-        raise ArityError("roots-of-unity checks need a state of 2 elements")
-    if iterate_count < 0:
-        raise ValueError(f"iterate count must be >= 0, got {iterate_count}")
+    state, c = _state(state, 2), _count(iterate_count, "iterate count", 0)
     fld = CyclotomicField(order)
     a = fld.zeta()
     b = fld.zeta(b_power)
@@ -367,7 +353,6 @@ def linear_roots_checks(
     if a == b:
         raise ValueError("coefficients must be distinct roots")
     x1, x2 = (fld.coerce(x) for x in state)
-    c = iterate_count
     if which == "induced-1":
         res = (a**c) * x1 + b * ((one - a**c) / (one - a)) * x2
         if c % order == 0 and not res.equals(x1):
@@ -444,8 +429,7 @@ def decreasing_involution_residuals(
     g(x) = log2(e^x - 1) - 1/2, i.e. the conjugacy between h and negation
     written at evaluation level, plus the bisection fixed point of h.
     """
-    if sample_count < 1:
-        raise ValueError(f"sample count must be >= 1, got {sample_count}")
+    sample_count = _count(sample_count, "sample count")
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     max_inv = 0.0

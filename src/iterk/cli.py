@@ -22,7 +22,7 @@ import sys
 # reads the parser only for a seed
 import iterk
 
-from .errors import ArityError, BudgetError
+from .errors import ArityError, BudgetError, _count
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -130,15 +130,15 @@ def _perm_arg(text: str, m: int) -> list[int]:
 # subcommands
 
 def _cmd_iterate(args) -> int:
-    if args.n < 0:
-        raise ValueError(f"iterate count must be >= 0, got {args.n}")
+    # a table's iterate takes negative n too, so the count is checked here
+    n = _count(args.n, "iterate count", 0)
     src = _load(args)
     fmap, seed = _seed(args, src)
     if args.table is not None:
         # a table's orbit closes within m**k steps, so any n costs at most that
-        result = iterk.tables.table_iterate(src, seed, args.n)
+        result = iterk.tables.table_iterate(src, seed, n)
     else:
-        result = iterk.engine.iterate(fmap, seed, args.n)
+        result = iterk.engine.iterate(fmap, seed, n)
     return _emit(
         args, lambda: [_render_state(result)], lambda: {"state": [str(v) for v in result]}
     )
@@ -503,7 +503,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     # ParseError, NonAffineError and ArityError are ValueErrors
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from .errors import ArityError
+from .errors import ArityError, _count, _state
 
 Element = Any
 State = tuple
@@ -43,8 +43,7 @@ class KaryMap:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ArityError(f"arity must be >= 1, got {self.arity}")
+        object.__setattr__(self, "arity", _count(self.arity, "arity"))
 
     def apply(self, args: Sequence[Element]) -> Element:
         return self.fn(tuple(args))
@@ -74,22 +73,13 @@ class Orbit:
     recurred: bool
 
 
-def _check_state(f: KaryMap, state: Sequence[Element]) -> State:
-    state = tuple(state)
-    if len(state) != f.arity:
-        raise ArityError(
-            f"state has {len(state)} elements but map has arity {f.arity}"
-        )
-    return state
-
-
 def first_iterate(f: KaryMap, state: Sequence[Element]) -> State:
     """Advance the represented recurrence by k terms.
 
     Component j consumes the trailing k-j+1 input elements followed by the
     j-1 components already computed.
     """
-    state = _check_state(f, state)
+    state = _state(state, f.arity)
     out: list[Element] = []
     for j in range(f.arity):
         out.append(f.apply(state[j:] + tuple(out)))
@@ -98,10 +88,8 @@ def first_iterate(f: KaryMap, state: Sequence[Element]) -> State:
 
 def iterate(f: KaryMap, state: Sequence[Element], n: int) -> State:
     """n-fold composition of :func:`first_iterate`; ``n = 0`` is the identity."""
-    state = _check_state(f, state)
-    if n < 0:
-        raise ValueError(f"iterate count must be >= 0, got {n}")
-    for _ in range(n):
+    state = _state(state, f.arity)
+    for _ in range(_count(n, "iterate count", 0)):
         state = first_iterate(f, state)
     return state
 
@@ -123,10 +111,8 @@ def orbit(f: KaryMap, state: Sequence[Element], max_steps: int) -> Orbit:
     Stops early, with ``recurred`` set, as soon as the next state would equal
     the start state again.
     """
-    state = _check_state(f, state)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    images = list(_first_return(f, state, max_steps))
+    state = _state(state, f.arity)
+    images = list(_first_return(f, state, _count(max_steps, "max_steps")))
     return Orbit((state, *images[:-1]), images[-1] == state)
 
 
@@ -134,10 +120,8 @@ def point_involutory_order(
     f: KaryMap, state: Sequence[Element], bound: int
 ) -> int | None:
     """Smallest n in 1..bound with the n-th iterate fixing ``state``, else None."""
-    state = _check_state(f, state)
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    for n, current in enumerate(_first_return(f, state, bound), 1):
+    state = _state(state, f.arity)
+    for n, current in enumerate(_first_return(f, state, _count(bound, "bound")), 1):
         if current == state:
             return n
     return None

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the admission rules for
+counts and states that every layer takes its inputs through."""
+
+import operator
 
 
 class ArityError(ValueError):
@@ -21,3 +24,21 @@ class ParseError(ValueError):
         self.message = message
         self.line = line
         self.column = column
+
+
+def _count(value, name: str, least: int = 1) -> int:
+    # the one count rule: a count, order, bound or arity is an int (anything
+    # with __index__, so numpy ints and bools too) of at least ``least``; a
+    # float, Fraction or text is a TypeError, never truncated
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _state(state, arity: int) -> tuple:
+    # the one state rule: ``state`` as a tuple of exactly ``arity`` elements
+    state = tuple(state)
+    if len(state) != arity:
+        raise ArityError(f"state has {len(state)} elements but map has arity {arity}")
+    return state

@@ -12,9 +12,11 @@ equality tests rather than floating-point tolerances.
 Every operation is integer work ending in at most one gcd: sums cross-multiply
 the numerators, an int or Fraction operand scales or shifts them, and a product
 multiplies two integer polynomials and folds the high powers back with cached
-integer rows ``z^i mod Phi_n`` (Phi_n is monic and integral).  No polynomial is
-divided: ``Phi_n`` is the Moebius product of the ``(1 - x^d)^mu(n/d)``, and an
-inverse is the product of the other Galois conjugates over the norm.
+integer rows ``z^i mod Phi_n`` (Phi_n is monic and integral).  ``Phi_n`` is
+the Moebius product of the ``(1 - x^d)^mu(n/d)``, and an inverse is the
+product of the other Galois conjugates over the norm.  The one polynomial
+division, by a monic ``Phi_d`` in :func:`_divide`, serves only the test that a
+characteristic polynomial is a product of cyclotomic polynomials.
 
 All values in one computation must share a single root order n; callers mix
 orders by embedding into a common multiple first (``z_a -> z_lcm^(lcm/a)``).
@@ -31,7 +33,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Callable
 
-from .errors import BudgetError
+from .errors import BudgetError, _count
 
 #: Largest root order for which the reduction modulus is computed.
 MAX_ROOT_ORDER = 64
@@ -39,9 +41,7 @@ MAX_ROOT_ORDER = 64
 
 def fibonacci(n: int) -> int:
     """n-th Fibonacci number with F0 = 0 and F1 = 1."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    return _fibonacci_pair(n)[0]
+    return _fibonacci_pair(_count(n, "index", 0))[0]
 
 
 def _fibonacci_pair(n: int) -> tuple[int, int]:
@@ -55,8 +55,8 @@ def _fibonacci_pair(n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials as ascending coefficient lists of integers: one product and one
-# reduction modulo the cyclotomic polynomial, and no division anywhere
+# polynomials as ascending coefficient lists of integers: one product, one
+# reduction modulo the cyclotomic polynomial and one division by a monic one
 
 def _poly_mul(a, b, out: list[int] | None = None) -> list[int]:
     """The product of two integer polynomials, added into ``out`` when given."""
@@ -124,13 +124,14 @@ def _elementary(order: int, sums: list) -> list | None:
     return e
 
 
-def _roots_of_unity(order: int, sums: list, top: int) -> bool:
-    """Whether the n numbers with power sums ``sums`` (p_1..p_n in
-    Z[zeta_order]) are roots of unity of orders dividing ``top``: their
-    polynomial, taken down to Q, is a product of cyclotomic polynomials."""
+def _roots_of_unity(order: int, sums: list, top: int) -> int | None:
+    """The lcm D of the orders of the n numbers with power sums ``sums`` (p_1..p_n
+    in Z[zeta_order]) when they are roots of unity of orders dividing ``top``,
+    else None: their polynomial, taken down to Q, must be a product of the
+    cyclotomic polynomials Phi_d, d | top, and D is the lcm of those d."""
     e, d, sums = _elementary(order, sums), len(sums) * len(sums[0]), list(sums)
     if e is None:
-        return False
+        return None
     for m in range(len(sums) + 1, d + 1):  # p_m for m > n, by the same identities
         acc = [0] * (2 * len(e[0]) - 1)
         for i in range(1, len(e)):
@@ -138,13 +139,15 @@ def _roots_of_unity(order: int, sums: list, top: int) -> bool:
         sums.append(_reduce(order, acc))
     e = _elementary(1, [[sum(map(prod, zip(p, _traces(order))))] for p in sums])
     poly = [(-1) ** m * c for m, (c,) in reversed(list(enumerate(e or [])))]  # ascending
-    divisors = [(1, 1)]
+    divisors = [(1, 1)]  # (q, phi(q)) for the q | top whose Phi_q fits the degree
     for p, k in _factor(top):
-        divisors = [(q * p**i, t * (p**i - p**i // p)) for q, t in divisors for i in range(k + 1)]
+        divisors = [(q * p**i, u) for q, t in divisors for i in range(k + 1)
+                    if (u := t * (p**i - p**i // p)) < len(poly)]
+    found = 1
     for q, t in divisors:
-        while 0 < t < len(poly) and not any((rest := _divide(poly, _cyclotomic(q)))[:t]):
-            poly = rest[t:]
-    return poly == [1]
+        while t < len(poly) and not any((rest := _divide(poly, _cyclotomic(q)))[:t]):
+            poly, found = rest[t:], lcm(found, q)
+    return found if poly == [1] else None
 
 
 def _divide(poly: list[int], q) -> list[int]:
@@ -180,11 +183,10 @@ class CycloPolynomial:
         return len(self.coefficients) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must miss np.int64(2)'s entry
 def cyclotomic_polynomial(n: int) -> CycloPolynomial:
     """The n-th cyclotomic polynomial, for n up to ``MAX_ROOT_ORDER``."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    n = _count(n, "order")
     if n > MAX_ROOT_ORDER:
         raise BudgetError(
             f"root order {n} exceeds the supported bound {MAX_ROOT_ORDER}"

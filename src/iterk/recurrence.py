@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _kernels
 from .engine import Element, KaryMap, iterate as engine_iterate
-from .errors import ArityError
-from .tables import FiniteTable, _positive, check_budget, check_state_budget, cycle_report
+from .errors import ArityError, _count, _state
+from .tables import FiniteTable, check_budget, check_state_budget, cycle_report
 
 #: Largest number of tables a full sweep will visit.
 SWEEP_BUDGET = 10**7
@@ -48,10 +48,7 @@ class RecurrenceSpec:
     seed: tuple
 
     def __post_init__(self):
-        if len(self.seed) != self.map.arity:
-            raise ArityError(
-                f"seed length {len(self.seed)} != map arity {self.map.arity}"
-            )
+        object.__setattr__(self, "seed", _state(self.seed, self.map.arity))
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,7 @@ class CycleFinding:
 def generate(spec: RecurrenceSpec, count: int) -> list[Element]:
     """First ``count`` terms, starting with the seed tuple."""
     k = spec.map.arity
-    if count < k:
-        raise ValueError(f"count must be >= the arity {k}, got {count}")
+    count = _count(count, "count", k)
     terms = list(spec.seed)
     for _ in range(count - k):
         terms.append(spec.map.apply(terms[-k:]))
@@ -82,9 +78,7 @@ def generate(spec: RecurrenceSpec, count: int) -> list[Element]:
 
 def consistency_check(spec: RecurrenceSpec, n: int) -> bool:
     """Window identity: terms nk+1 .. nk+k equal the n-th iterate of the seed."""
-    if n < 0:
-        raise ValueError(f"iterate count must be >= 0, got {n}")
-    k = spec.map.arity
+    n, k = _count(n, "iterate count", 0), spec.map.arity
     terms = generate(spec, (n + 1) * k)
     window = tuple(terms[n * k : (n + 1) * k])
     return window == engine_iterate(spec.map, spec.seed, n)
@@ -107,7 +101,7 @@ def detect_minimal_period(
     found exactly when its witness index is at most ``bound``; the map is
     applied at most ``bound`` times.
     """
-    bound = _positive(bound, "bound")
+    bound = _count(bound, "bound")
     apply, k = spec.map.apply, spec.map.arity
     terms, window, marks = list(spec.seed), tuple(spec.seed), {}
     for t in range(bound):
@@ -231,7 +225,7 @@ def cycle_correspondence_sweep(
     """Tally :func:`cycle_correspondence_report` over all m**(m**k) tables
     whose first iterate is bijective, reading n and j as cycle lengths under
     the first iterate and under the one-term window shift."""
-    m, k = _positive(m, "m"), _positive(k, "k")
+    m, k = _count(m, "m"), _count(k, "k")
     check_budget(m, (m, k), budget, SWEEP_BUDGET, "tables", "sweep")
     return SweepTallies(m, k, *(int(v) for v in _kernels.cycle_sweep(m, k)))
 
@@ -249,6 +243,8 @@ def augment(f: KaryMap, target_arity: int) -> KaryMap:
     the values the recurrence forces for them.
     """
     k = f.arity
+    # at least 0: a target of 0 lifts nothing, and the lift rule says so
+    target_arity = _count(target_arity, "target arity", 0)
     _check_lift(k, target_arity)
 
     def fn(state):
@@ -267,7 +263,7 @@ def augment_table(t: FiniteTable, target_arity: int) -> FiniteTable:
     recurrence steps past that window, the last digit of the window then, and
     the same for each of the m**(target_arity - k) values of the other arguments.
     """
-    target_arity = _positive(target_arity, "target arity")
+    target_arity = _count(target_arity, "target arity")
     check_state_budget(t.m, target_arity)
     _check_lift(t.k, target_arity)
     w = _kernels._power(_kernels._shift(t.entries, t.m, t.k), target_arity - t.k + 1)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .engine import KaryMap
-from .errors import ArityError, BudgetError, ParseError
+from .errors import BudgetError, ParseError, _count, _state
 
 #: Largest number of states m**k an exhaustive per-table analysis will touch.
 STATE_BUDGET = 10**6
@@ -79,7 +79,7 @@ class FiniteTable:
     entries: np.ndarray
 
     def __post_init__(self):
-        m, k = _positive(self.m, "m"), _positive(self.k, "k")
+        m, k = _count(self.m, "m"), _count(self.k, "k")
         arr = _symbols(self.entries, m, k, "entries")
         arr.setflags(write=False)
         vars(self).update(m=m, k=k, entries=arr)  # past the frozen __setattr__
@@ -90,7 +90,7 @@ class FiniteTable:
 
     @classmethod
     def from_function(cls, m: int, k: int, fn: Callable[..., int]) -> "FiniteTable":
-        m, k = _positive(m, "m"), _positive(k, "k")
+        m, k = _count(m, "m"), _count(k, "k")
         check_state_budget(m, k)
         vals = [fn(*state_from_index(i, m, k)) for i in range(m**k)]
         return cls.from_values(m, k, vals)
@@ -100,9 +100,7 @@ class FiniteTable:
         return self.m**self.k
 
     def apply(self, state: Sequence[int]) -> int:
-        if len(state) != self.k:
-            raise ArityError(f"state length {len(state)} != arity {self.k}")
-        return int(self.entries[state_index(state, self.m)])
+        return int(self.entries[state_index(_state(state, self.k), self.m)])
 
     def as_map(self) -> KaryMap:
         return KaryMap(self.k, lambda s: self.apply(s), name=f"table{self.m}x{self.k}")
@@ -124,15 +122,6 @@ class FiniteTable:
 
     def __repr__(self):
         return f"FiniteTable(m={self.m}, k={self.k}, entries={self.values()})"
-
-
-def _positive(value, name: str) -> int:
-    # the one scalar rule: a count, order or arity is an int (anything with
-    # __index__, so numpy ints and bools too) of at least 1
-    value = operator.index(value)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 def _symbols(values, m: int, k: int, name: str) -> np.ndarray:
@@ -259,7 +248,7 @@ def is_n_involutory(t: FiniteTable, n: int, budget: int | None = None) -> bool:
     Decided as: the first iterate is bijective and its minimal order
     divides n.
     """
-    n = _positive(n, "order")
+    n = _count(n, "order")
     report = cycle_report(t, budget)
     return report.bijective and n % report.minimal_order == 0
 
@@ -267,9 +256,7 @@ def is_n_involutory(t: FiniteTable, n: int, budget: int | None = None) -> bool:
 def _trajectory(t: FiniteTable, state: Sequence[int]) -> tuple[list[int], int, bool]:
     # the state indices from ``state`` up to the first repeat, how many of
     # them lead into the cycle, and whether the first iterate is injective
-    if len(state) != t.k:
-        raise ArityError(f"state length {len(state)} != arity {t.k}")
-    idx = state_index(state, t.m)
+    idx = state_index(_state(state, t.k), t.m)
     perm, injective = _first_iterate(t)
     seen: dict[int, int] = {}
     while idx not in seen:
@@ -308,7 +295,7 @@ def is_induced_involutory(
     applying the induced self-map n times must return every element to
     itself.  Without ``j``: the same for every argument position.
     """
-    n = _positive(n, "order")
+    n = _count(n, "order")
     if j is not None and not 1 <= operator.index(j) <= t.k:
         raise ValueError(f"argument position {j} out of range 1..{t.k}")
     check_state_budget(t.m, t.k, budget)
@@ -356,7 +343,7 @@ def property_profile(
 
 def hat_id(m: int, k: int) -> FiniteTable:
     """The first-projection table; its first iterate is the identity."""
-    return project_compose(range(_positive(m, "m")), k)
+    return project_compose(range(_count(m, "m")), k)
 
 
 def project_compose(g: Sequence[int], k: int) -> FiniteTable:
@@ -364,7 +351,7 @@ def project_compose(g: Sequence[int], k: int) -> FiniteTable:
 
     The resulting table satisfies ``is_n_involutory(result, 2)``.
     """
-    m, k = _positive(len(g), "m"), _positive(k, "k")
+    m, k = _count(len(g), "m"), _count(k, "k")
     check_state_budget(m, k)
     arr = _symbols(g, m, 1, "self-map values")
     if not np.array_equal(arr[arr], np.arange(m)):
@@ -394,7 +381,7 @@ def conjugate(t: FiniteTable, g: Sequence[int]) -> FiniteTable:
 
 def involutions(m: int) -> list[tuple[int, ...]]:
     """All involutions of {0..m-1} in ascending lexicographic order."""
-    m = _positive(m, "m")
+    m = _count(m, "m")
     out: list[tuple[int, ...]] = []
     g = [-1] * m
 
@@ -443,7 +430,7 @@ def count_involutions(m: int) -> int:
     Raises :class:`BudgetError` when T(m) has more digits than
     ``sys.get_int_max_str_digits()`` allows to print.
     """
-    m = _positive(m, "m")
+    m = _count(m, "m")
     count = _telephone(m)
     if m <= 5:
         brute = count_involutions_brute(m)
@@ -452,16 +439,16 @@ def count_involutions(m: int) -> int:
     return count
 
 
-def count_involutions_brute(m: int, budget: int = SCAN_BUDGET) -> int:
+def count_involutions_brute(m: int, budget: int | None = None) -> int:
     """Count involutions by scanning all m**m self-maps."""
-    m = _positive(m, "m")
+    m = _count(m, "m")
     check_budget(m, m, budget, SCAN_BUDGET, "self-maps", "scan")
     return int(_kernels.involution_scan(m))
 
 
 def iter_all_tables(m: int, k: int, budget: int | None = None) -> Iterator[FiniteTable]:
     """Every table on m symbols with k arguments, ascending row-major order."""
-    m, k = _positive(m, "m"), _positive(k, "k")
+    m, k = _count(m, "m"), _count(k, "k")
     check_budget(m, (m, k), budget, CANDIDATE_BUDGET, "tables", "enumeration")
     n_states = m**k
     total = m**n_states
@@ -489,7 +476,7 @@ def enumerate_ii_tables(
     listed, against T(m)**(m**(k-1)), which bounds the candidates of every
     arity.
     """
-    m, k = _positive(m, "m"), _positive(k, "k")
+    m, k = _count(m, "m"), _count(k, "k")
     check_state_budget(m, k, state_budget)
     check_budget(
         _telephone(m), (m, k - 1), candidate_budget, CANDIDATE_BUDGET,
@@ -541,7 +528,7 @@ def loads_table(text: str) -> FiniteTable:
         except ValueError:
             raise ParseError("header must be two integers: m k", ln, 1) from None
         try:
-            m, k = _positive(m, "m"), _positive(k, "k")
+            m, k = _count(m, "m"), _count(k, "k")
         except ValueError:
             raise ParseError("m and k must both be >= 1", ln, 1) from None
         check_state_budget(m, k)

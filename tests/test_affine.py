@@ -649,6 +649,13 @@ class TestExactOrder:
         if affine_involutory_order(it, None) is not None or len(it._squares) != 1:
             pytest.fail(f"{body}: squares were formed, or an order was found")
 
+    def test_powers_stop_at_the_orders_found(self):
+        # 1 - x1 - ... - x24 has order 25: its eigenvalues' orders divide 25,
+        # so pair**25 needs 5 kept squares, where the 38 bits of L(1, 24) need 38
+        xs = [f"x{i}" for i in range(1, 25)]
+        it = build_first_iterate(to_affine(parse_map_def(f"f({','.join(xs)}) = 1 - {' - '.join(xs)}")))
+        assert affine_involutory_order(it, None) == 25 and len(it._squares) <= 5
+
     def test_universal_exponents(self):
         for (n, k), want in {(64, 2): 384, (1, 6): 2520, (64, 4): 3840, (1, 10): 55440}.items():
             if universal_exponent(n, k) != want or _root_orders_lcm(n, k) != want:

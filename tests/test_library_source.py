@@ -84,14 +84,27 @@ def test_library_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
-def test_table_inputs_enter_through_two_rules():
-    # in the table layer only tables._positive checks that a count, order or
-    # arity is at least 1, and in tables.py only _symbols casts to int64
-    # (recurrence casts state indices it computed, not inputs)
-    def below_one(node):
-        return isinstance(node, ast.Compare) and any(
-            isinstance(op, ast.Lt) and isinstance(right, ast.Constant) and right.value == 1
+def test_inputs_enter_through_one_rule_each():
+    # in every module only errors._count checks a count, order, bound or
+    # arity against its least value, only errors._state checks a state's
+    # length, and in tables.py only _symbols casts to int64 (recurrence casts
+    # state indices it computed, not inputs).  The CLI words its own --seed
+    # check, and four checks compare with 0 for other reasons: a table's
+    # negative iterates need a bijective map, and _h, _g and the bisection
+    # bracket are about floats
+    def below(node):  # a name compared below 0 or 1
+        return isinstance(node, ast.Compare) and isinstance(node.left, (ast.Name, ast.Attribute)) and any(
+            isinstance(op, (ast.Lt, ast.LtE)) and isinstance(right, ast.Constant) and right.value in (0, 1)
             for op, right in zip(node.ops, node.comparators)
+        )
+
+    def length(node):  # len() of a state or seed compared with !=
+        return isinstance(node, ast.Compare) and any(
+            isinstance(op, ast.NotEq) for op in node.ops
+        ) and any(
+            isinstance(side, ast.Call) and ast.unparse(side.func) == "len"
+            and any(word in ast.unparse(side.args[0]) for word in ("state", "seed"))
+            for side in (node.left, *node.comparators)
         )
 
     def int64_cast(node):
@@ -101,21 +114,28 @@ def test_table_inputs_enter_through_two_rules():
             and "int64" in ast.unparse(node)
         )
 
-    found = {"below one": set(), "raised": set(), "cast": set()}
+    found = {"below": set(), "raised": set(), "length": set(), "cast": set()}
     for name, fn in _nodes():
-        if name not in {"tables.py", "recurrence.py"} or not isinstance(fn, ast.FunctionDef):
+        if not isinstance(fn, ast.FunctionDef):
             continue
+        where = f"{name}:{fn.name}"
         for node in ast.walk(fn):
-            where = f"{name}:{fn.name}"
-            if below_one(node):
-                found["below one"].add(where)
-            if isinstance(node, ast.Raise) and "must be >= 1" in ast.unparse(node):
+            raises = isinstance(node, ast.If) and any(isinstance(b, ast.Raise) for b in node.body)
+            if raises and any(below(n) for n in ast.walk(node.test)):
+                found["below"].add(where)
+            if raises and any(length(n) for n in ast.walk(node.test)):
+                found["length"].add(where)
+            if isinstance(node, ast.Raise) and "must be >=" in ast.unparse(node):
                 found["raised"].add(where)
             if int64_cast(node) and name == "tables.py":
                 found["cast"].add(where)
     assert found == {
-        "below one": {"tables.py:_positive"},
-        "raised": {"tables.py:_positive"},
+        "below": {
+            "tables.py:table_iterate", "affine.py:_h", "affine.py:_g",
+            "affine.py:decreasing_involution_fixed_point",
+        },
+        "raised": {"errors.py:_count"},
+        "length": {"errors.py:_state", "cli.py:_seed"},
         "cast": {"tables.py:_symbols"},
     }
 

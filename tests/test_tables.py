@@ -867,6 +867,13 @@ class TestInvolutionCounting:
         with pytest.raises(BudgetError):
             count_involutions_brute(12)
 
+    def test_brute_budget_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(tables, "SCAN_BUDGET", 27)
+        assert count_involutions_brute(3) == 4
+        with pytest.raises(BudgetError, match="4\\*\\*4 self-maps exceed the scan budget of 27"):
+            count_involutions_brute(4)
+        assert count_involutions_brute(4, budget=256) == 10
+
     def test_failed_cross_check_raises(self, monkeypatch):
         # the check must survive python -O
         monkeypatch.setattr(_kernels, "involution_scan", lambda m: 0)
