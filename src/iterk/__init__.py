@@ -26,21 +26,20 @@ __version__ = "0.1.0"
 # the exported names, by the submodule that defines them
 _EXPORTS = {
     "engine": (
-        "InducedContext", "KaryMap", "Orbit", "first_iterate", "induced_self_map",
-        "iterate", "orbit", "point_involutory_order",
+        "KaryMap", "Orbit", "first_iterate", "induced_self_map", "iterate", "orbit",
+        "point_involutory_order",
     ),
-    "errors": ("ArityError", "BudgetError", "NonAffineError", "ParseError"),
+    "errors": ("ArityError", "BudgetError", "NonAffineError", "ParseError", "UsageError"),
     "exactnum": (
         "CycloPolynomial", "CyclotomicField", "CyclotomicNumber", "RationalField",
         "cyclotomic_polynomial", "fibonacci", "join_fields",
     ),
     "tables": (
-        "CycleReport", "FiniteTable", "PropertyProfile", "as_permutation", "conjugate",
-        "count_involutions", "count_involutions_brute", "cycle_report", "dump_table",
-        "dumps_table", "enumerate_ii_tables", "hat_id", "involutions",
-        "is_induced_involutory", "is_n_involutory", "is_symmetric", "iter_all_tables",
-        "load_table", "loads_table", "project_compose", "property_profile",
-        "state_from_index", "state_index", "table_iterate",
+        "CycleReport", "FiniteTable", "as_permutation", "conjugate", "count_involutions",
+        "count_involutions_brute", "cycle_report", "dump_table", "dumps_table",
+        "enumerate_ii_tables", "hat_id", "involutions", "is_induced_involutory",
+        "is_n_involutory", "is_symmetric", "iter_all_tables", "load_table", "loads_table",
+        "project_compose", "state_from_index", "state_index", "table_iterate",
     ),
     "affine": (
         "AffineFirstIterate", "AffineMapSpec", "ResidualSummary",

@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .engine import Element, KaryMap, State, first_iterate
-from .errors import ArityError, _count, _state
+from .errors import UsageError, _count, _position, _state
 from .exactnum import (
     CyclotomicField,
     CyclotomicNumber,
@@ -72,7 +72,7 @@ class AffineMapSpec:
     def __post_init__(self):
         object.__setattr__(self, "arity", _count(self.arity, "arity"))
         if len(self.coefficients) != self.arity:
-            raise ValueError(
+            raise UsageError(
                 f"expected {self.arity} coefficients, got {len(self.coefficients)}"
             )
         object.__setattr__(self, "coefficients", tuple(map(self.field.coerce, self.coefficients)))
@@ -281,6 +281,7 @@ def sum_map_closed_form(
     Reduces the index modulo k+1; step p maps the state to
     (x[k-p+2], ..., xk, A - sum(x), x1, ..., x[k-p]).
     """
+    k = _count(k, "arity")
     state = _state(state, k)
     p = _count(iterate_index, "iterate count", 0) % (k + 1)
     if p == 0:
@@ -306,9 +307,8 @@ def projection_family_iterate(
     the n-th iterate is terms nk .. nk+k-1.  Each chain is walked once: g is
     applied n*k times in all.
     """
-    if not 1 <= j <= k:
-        raise ArityError(f"position {j} out of range 1..{k}")
-    state, n = _state(state, k), _count(n, "iterate count", 0)
+    k = _count(k, "arity")
+    j, state, n = _position(j, k), _state(state, k), _count(n, "iterate count", 0)
     d, out = k - j + 1, list(state)
     for s in range(k - d, k):
         v = state[s]
@@ -349,9 +349,9 @@ def linear_roots_checks(
     b = fld.zeta(b_power)
     one = fld.one()
     if a == one or b == one:
-        raise ValueError("coefficients must not be unity (division by 1 - a)")
+        raise UsageError("coefficients must not be unity (division by 1 - a)")
     if a == b:
-        raise ValueError("coefficients must be distinct roots")
+        raise UsageError("coefficients must be distinct roots")
     x1, x2 = (fld.coerce(x) for x in state)
     if which == "induced-1":
         res = (a**c) * x1 + b * ((one - a**c) / (one - a)) * x2
@@ -369,7 +369,7 @@ def linear_roots_checks(
             f0 * (a**c) * x1 + f1 * (a ** (c + 1)) * x2,
             f1 * (a ** (c + 2)) * x1 + f2 * (a**c) * x2,
         )
-    raise ValueError(f"unknown check kind {which!r}")
+    raise UsageError(f"unknown check kind {which!r}")
 
 
 def roots_map_spec(order: int = 3, b_power: int = 2) -> AffineMapSpec:
@@ -383,14 +383,14 @@ def roots_map_spec(order: int = 3, b_power: int = 2) -> AffineMapSpec:
 
 def _h(x: float) -> float:
     if x <= 0:
-        raise ValueError("h is defined for positive x only")
+        raise UsageError("h is defined for positive x only")
     e = math.exp(x)
     return math.log((e + 1.0) / (e - 1.0))
 
 
 def _g(x: float) -> float:
     if x <= 0:
-        raise ValueError("g is defined for positive x only")
+        raise UsageError("g is defined for positive x only")
     return math.log2(math.exp(x) - 1.0) - 0.5
 
 
@@ -405,21 +405,6 @@ class ResidualSummary:
     samples: int
 
 
-def decreasing_involution_fixed_point(lo: float = 0.5, hi: float = 1.5) -> float:
-    """Locate the symmetric point h(x) = x by bisection; h(x) - x is
-    strictly decreasing so the root is unique."""
-    flo, fhi = _h(lo) - lo, _h(hi) - hi
-    if flo < 0 or fhi > 0:
-        raise ValueError("bisection bracket does not straddle the fixed point")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _h(mid) - mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def decreasing_involution_residuals(
     sample_count: int, lo: float, hi: float
 ) -> ResidualSummary:
@@ -427,11 +412,12 @@ def decreasing_involution_residuals(
 
     Reports max |h(h(x)) - x| (involution) and max |g(h(x)) + g(x)| with
     g(x) = log2(e^x - 1) - 1/2, i.e. the conjugacy between h and negation
-    written at evaluation level, plus the bisection fixed point of h.
+    written at evaluation level, plus the fixed point of h: h(x) = x exactly
+    when e^x = 1 + sqrt(2), so x = log(1 + sqrt(2)) = asinh(1).
     """
     sample_count = _count(sample_count, "sample count")
     if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
+        raise UsageError("need 0 < lo < hi")
     max_inv = 0.0
     max_conj = 0.0
     llo, lhi = math.log(lo), math.log(hi)
@@ -440,7 +426,7 @@ def decreasing_involution_residuals(
         x = math.exp(t)
         max_inv = max(max_inv, abs(_h(_h(x)) - x))
         max_conj = max(max_conj, abs(_g(_h(x)) + _g(x)))
-    xstar = decreasing_involution_fixed_point()
+    xstar = math.asinh(1.0)
     return ResidualSummary(
         max_inv, max_conj, xstar, abs(_h(xstar) - xstar), sample_count
     )

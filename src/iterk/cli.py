@@ -3,8 +3,10 @@
 One subcommand per analysis; maps come in either as a definition string
 (``--def "f(x1,x2) = x1 + x2"``) or as a table file (``--table path``).
 Exit codes: 0 success, 1 verification failure (including a false answer
-from a predicate subcommand), 2 usage or parse errors, 3 exceeded resource
-budgets, 141 a write to stdout whose reader closed the pipe.  Every
+from a predicate subcommand), 2 a ``UsageError`` or an unreadable table
+file, 3 an exceeded resource budget or a number past the int-to-str digit
+limit, each with one ``error:`` line, 141 a write to stdout whose reader
+closed the pipe.  Any other exception is a bug and propagates.  Every
 subcommand takes ``--json``, which switches to a stable machine-readable
 encoding; all output is deterministic for identical inputs.
 """
@@ -22,7 +24,7 @@ import sys
 # reads the parser only for a seed
 import iterk
 
-from .errors import ArityError, BudgetError, _count
+from .errors import ArityError, BudgetError, UsageError, _count, _printable
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -35,8 +37,16 @@ EXIT_PIPE = 141
 # ---------------------------------------------------------------------------
 # rendering helpers
 
+def _text(value) -> str:
+    """An exact scalar (int, Fraction or CyclotomicNumber) as text, once the
+    digit rule has passed each integer that the text writes."""
+    for c in getattr(value, "coeffs", (value,)):
+        _printable(max(abs(c.numerator), c.denominator), "a number to print")
+    return str(value)
+
+
 def _render_state(state) -> str:
-    parts = [str(v) for v in state]
+    parts = [_text(v) for v in state]
     sep = ", " if any(" " in p or "," in p for p in parts) else " "
     return sep.join(parts)
 
@@ -90,7 +100,7 @@ def _seed(args, src, lift=None):
     """
     if not args.seed:
         need = "when augmenting a definition" if lift is not None else "for this command"
-        raise ValueError(f"--seed is required {need}")
+        raise UsageError(f"--seed is required {need}")
     exprs = iterk.parser.parse_seed(args.seed)
     if args.table is None:
         field = iterk.parser.field_of(src.expr, *exprs)
@@ -105,14 +115,14 @@ def _seed(args, src, lift=None):
         for expr in exprs:
             v = iterk.parser.eval_scalar(expr, rational)
             if v.denominator != 1:
-                raise ValueError(f"table seeds must be integers, got {v}")
+                raise UsageError(f"table seeds must be integers, got {_text(v)}")
             state += (int(v),)
         fmap, what = src.as_map(), "the table has arity"
         outside = [v for v in state if not 0 <= v < src.m]
     if len(state) != fmap.arity:
         raise ArityError(f"seed has {len(state)} components but {what} {fmap.arity}")
     if outside:
-        raise ValueError(f"seed component {outside[0]} out of range 0..{src.m - 1}")
+        raise UsageError(f"seed component {_text(outside[0])} out of range 0..{src.m - 1}")
     return fmap, state
 
 
@@ -120,9 +130,9 @@ def _perm_arg(text: str, m: int) -> list[int]:
     try:
         values = [int(x) for x in text.split(",")]
     except ValueError:
-        raise ValueError(f"--perm must be comma-separated integers, got {text!r}")
+        raise UsageError(f"--perm must be comma-separated integers, got {text!r}")
     if len(values) != m:
-        raise ValueError(f"--perm must list all {m} images")
+        raise UsageError(f"--perm must list all {m} images")
     return values
 
 
@@ -140,7 +150,7 @@ def _cmd_iterate(args) -> int:
     else:
         result = iterk.engine.iterate(fmap, seed, n)
     return _emit(
-        args, lambda: [_render_state(result)], lambda: {"state": [str(v) for v in result]}
+        args, lambda: [_render_state(result)], lambda: {"state": [_text(v) for v in result]}
     )
 
 
@@ -149,7 +159,7 @@ def _cmd_orbit(args) -> int:
     return _emit(
         args,
         lambda: [_render_state(s) for s in orb.states] + [f"recurred: {_word(orb.recurred)}"],
-        lambda: {"states": [[str(v) for v in s] for s in orb.states], "recurred": orb.recurred},
+        lambda: {"states": [[_text(v) for v in s] for s in orb.states], "recurred": orb.recurred},
     )
 
 
@@ -225,7 +235,7 @@ def _cmd_count_involutions(args) -> int:
 def _cmd_claim1(args) -> int:
     # one input: --table alone, or --m with --k
     if (args.table is None) == (args.m is None) or (args.m is None) != (args.k is None):
-        raise ValueError("claim1 needs either --table or both --m and --k")
+        raise UsageError("claim1 needs either --table or both --m and --k")
     if args.table is not None:
         rep = iterk.recurrence.cycle_correspondence_report(_load(args))
         cols = rep.columns()
@@ -264,12 +274,12 @@ def _cmd_claim1(args) -> int:
 
 def _cmd_augment(args) -> int:
     if args.table is not None and args.seed is not None:
-        raise ValueError("augment --table takes no --seed")
+        raise UsageError("augment --table takes no --seed")
     src = _load(args)
     if args.table is not None:
         return _table(args, iterk.recurrence.augment_table(src, args.to))
     fmap, seed = _seed(args, src, args.to)
-    return _answer(args, "value", str(fmap.apply(seed)))
+    return _answer(args, "value", _text(fmap.apply(seed)))
 
 
 def _cmd_conjugate(args) -> int:
@@ -502,8 +512,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    # ParseError, NonAffineError and ArityError are ValueErrors
-    except (ValueError, OSError) as exc:
+    # ParseError, NonAffineError and ArityError are UsageErrors; an OSError
+    # is a table file that cannot be read
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

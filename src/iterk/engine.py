@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from .errors import ArityError, _count, _state
+from .errors import ArityError, _count, _position, _state
 
 Element = Any
 State = tuple
@@ -47,18 +47,6 @@ class KaryMap:
 
     def apply(self, args: Sequence[Element]) -> Element:
         return self.fn(tuple(args))
-
-
-@dataclass(frozen=True)
-class InducedContext:
-    """One free argument position (1-based) plus frozen values for the rest.
-
-    ``fixed`` lists the k-1 frozen values in argument order, skipping the
-    free position.
-    """
-
-    position: int
-    fixed: tuple
 
 
 @dataclass(frozen=True)
@@ -127,16 +115,15 @@ def point_involutory_order(
     return None
 
 
-def induced_self_map(f: KaryMap, ctx: InducedContext) -> Callable[[Element], Element]:
-    """Freeze all arguments but one, yielding a self-map on the element domain."""
-    j = ctx.position
-    if not 1 <= j <= f.arity:
-        raise ArityError(f"position {j} out of range for arity {f.arity}")
-    fixed = tuple(ctx.fixed)
+def induced_self_map(
+    f: KaryMap, position: int, fixed: Sequence[Element]
+) -> Callable[[Element], Element]:
+    """Freeze all arguments but the one at ``position`` (1-based), yielding a
+    self-map on the element domain.  ``fixed`` lists the k-1 frozen values in
+    argument order, skipping the free position."""
+    j, fixed = _position(position, f.arity), tuple(fixed)
     if len(fixed) != f.arity - 1:
-        raise ArityError(
-            f"expected {f.arity - 1} fixed values, got {len(fixed)}"
-        )
+        raise ArityError(f"expected {f.arity - 1} fixed values, got {len(fixed)}")
     before, after = fixed[: j - 1], fixed[j - 1 :]
 
     def induced(t: Element) -> Element:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Callable
 
-from .errors import BudgetError, _count
+from .errors import BudgetError, UsageError, _count
 
 #: Largest root order for which the reduction modulus is computed.
 MAX_ROOT_ORDER = 64
@@ -283,7 +283,7 @@ class CyclotomicNumber:
     def __new__(cls, order: int, coeffs):
         d = cyclotomic_polynomial(order).degree
         if len(coeffs) != d:
-            raise ValueError(f"root order {order} takes {d} coordinates, got {len(coeffs)}")
+            raise UsageError(f"root order {order} takes {d} coordinates, got {len(coeffs)}")
         for c in coeffs:
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coordinate {c!r} is not an int or Fraction")
@@ -332,13 +332,13 @@ class CyclotomicNumber:
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
+            raise UsageError(f"{self} is not rational")
         return Fraction(self.nums[0], self.den)
 
     def embed(self, order: int) -> "CyclotomicNumber":
         """Re-express this value in the field of a multiple root order."""
         if order % self.order != 0:
-            raise ValueError(f"{order} is not a multiple of {self.order}")
+            raise UsageError(f"{order} is not a multiple of {self.order}")
         if order == self.order:
             return self
         step = order // self.order
@@ -350,7 +350,7 @@ class CyclotomicNumber:
 
     def _check_order(self, other: "CyclotomicNumber") -> None:
         if other.order != self.order:
-            raise ValueError(f"mixed root orders {self.order} and {other.order}; embed first")
+            raise UsageError(f"mixed root orders {self.order} and {other.order}; embed first")
 
     def _add(self, other, sign: int):
         """self + sign * other; an integer shifts numerator 0 and needs no gcd."""

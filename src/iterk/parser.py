@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -208,6 +209,15 @@ class _Parser:
             self._fail(f"expected {what}, found {got!r}")
         return self._advance()
 
+    def _int(self, tok: _Token) -> int:
+        # an integer literal; one past sys.get_int_max_str_digits fails at its position
+        try:
+            return int(tok.text)
+        except ValueError:
+            msg = f"integer literal of {len(tok.text)} digits exceeds the int-to-str digit"
+            limit = f" budget {sys.get_int_max_str_digits()} (PYTHONINTMAXSTRDIGITS)"
+            raise ParseError(msg + limit, tok.line, tok.column) from None
+
     def _accept(self, kind: str) -> _Token | None:
         if self.current.kind == kind:
             return self._advance()
@@ -283,7 +293,7 @@ class _Parser:
                     return ZetaLit(self.root_order, self._power(), (tok.line, tok.column))
                 m = re.fullmatch(r"x(\d+)", tok.text)
                 if m:
-                    index = int(m.group(1))
+                    index = self._int(tok._replace(text=m.group(1), column=tok.column + 1))
                     if not 1 <= index <= arity:
                         raise ParseError(
                             f"undeclared variable {tok.text!r}"
@@ -301,19 +311,19 @@ class _Parser:
             self.depth -= 1
 
     def rational(self) -> RationalLit:
-        num = self._expect("int", "an integer")
+        num = self._int(self._expect("int", "an integer"))
         if self._accept("/"):
-            den = self._expect("int", "a denominator")
-            if int(den.text) == 0:
-                raise ParseError("zero denominator", den.line, den.column)
-            return RationalLit(Fraction(int(num.text), int(den.text)))
-        return RationalLit(Fraction(int(num.text)))
+            tok = self._expect("int", "a denominator")
+            if (den := self._int(tok)) == 0:
+                raise ParseError("zero denominator", tok.line, tok.column)
+            return RationalLit(Fraction(num, den))
+        return RationalLit(Fraction(num))
 
     def zeta(self) -> ZetaLit:
         name = self._expect("name", "'zeta'")
         self._expect("(", "'('")
         order_tok = self._expect("int", "a root order")
-        order = int(order_tok.text)
+        order = self._int(order_tok)
         if not 1 <= order <= MAX_ROOT_ORDER:
             raise ParseError(
                 f"root order {order} outside supported range 1..{MAX_ROOT_ORDER}",
@@ -325,7 +335,7 @@ class _Parser:
 
     def _power(self) -> int:
         # the optional "^" int after a root
-        return int(self._expect("int", "an exponent").text) if self._accept("^") else 1
+        return self._int(self._expect("int", "an exponent")) if self._accept("^") else 1
 
 
 def parse_map_def(text: str) -> MapDef:

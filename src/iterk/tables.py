@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .engine import KaryMap
-from .errors import BudgetError, ParseError, _count, _state
+from .errors import BudgetError, ParseError, UsageError, _count, _position, _printable, _state
 
 #: Largest number of states m**k an exhaustive per-table analysis will touch.
 STATE_BUDGET = 10**6
@@ -48,7 +47,7 @@ def state_index(state: Sequence[int], m: int) -> int:
     idx = 0
     for x in map(operator.index, state):
         if not 0 <= x < m:
-            raise ValueError(f"component {x} out of range 0..{m - 1}")
+            raise UsageError(f"component {x} out of range 0..{m - 1}")
         idx = idx * m + x
     return idx
 
@@ -57,7 +56,7 @@ def state_from_index(idx: int, m: int, k: int) -> tuple[int, ...]:
     """Inverse of :func:`state_index`."""
     idx = operator.index(idx)
     if not 0 <= idx < _screened_power(m, k, idx):
-        raise ValueError(f"index {idx} out of range 0..{m}**{k} - 1")
+        raise UsageError(f"index {idx} out of range 0..{m}**{k} - 1")
     out = []
     for _ in range(k):
         idx, r = divmod(idx, m)
@@ -135,9 +134,9 @@ def _symbols(values, m: int, k: int, name: str) -> np.ndarray:
             if not hasattr(type(x), "__index__"):
                 raise TypeError(f"{name} must be integers, got {x!r}")
     if arr.ndim != 1 or _screened_power(m, k, arr.size) != arr.size:
-        raise ValueError(f"expected {m}**{k} {name}, got {arr.size}")
+        raise UsageError(f"expected {m}**{k} {name}, got {arr.size}")
     if arr.size and (arr.min() < 0 or arr.max() >= m):
-        raise ValueError(f"{name} must lie in 0..{m - 1}")
+        raise UsageError(f"{name} must lie in 0..{m - 1}")
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
@@ -271,7 +270,7 @@ def table_iterate(t: FiniteTable, state: Sequence[int], n: int) -> tuple[int, ..
     n = operator.index(n)
     path, tail, injective = _trajectory(t, state)
     if n < 0 and not injective:
-        raise ValueError("negative iterates need a bijective first iterate")
+        raise UsageError("negative iterates need a bijective first iterate")
     i = n if 0 <= n < len(path) else tail + (n - tail) % (len(path) - tail)
     return state_from_index(path[i], t.m, t.k)
 
@@ -296,10 +295,8 @@ def is_induced_involutory(
     itself.  Without ``j``: the same for every argument position.
     """
     n = _count(n, "order")
-    if j is not None and not 1 <= operator.index(j) <= t.k:
-        raise ValueError(f"argument position {j} out of range 1..{t.k}")
+    positions = [_position(j, t.k) - 1] if j is not None else range(t.k)
     check_state_budget(t.m, t.k, budget)
-    positions = [j - 1] if j is not None else range(t.k)
     return all(
         (_kernels._induced(t.entries[None], t.m, t.k, pos, n) == np.arange(t.n_states)).all()
         for pos in positions
@@ -314,28 +311,6 @@ def is_symmetric(t: FiniteTable) -> bool:
     m, k = t.m, t.k
     grids = (t.entries.reshape(m**i, m, m, m ** (k - 2 - i)) for i in range(k - 1))
     return all(np.array_equal(grid, grid.swapaxes(1, 2)) for grid in grids)
-
-
-@dataclass(frozen=True)
-class PropertyProfile:
-    """Symmetry plus induced-involutivity flags for a table."""
-
-    symmetric: bool
-    ii_orders: dict[tuple[int, int], bool]  # (n, j) -> II-n in argument j
-    ii: bool  # induced involutory: II-2 in every argument
-
-
-def property_profile(
-    t: FiniteTable, orders: Sequence[int] = (1, 2, 3, 4)
-) -> PropertyProfile:
-    orders = sorted(set(orders) | {2})
-    flags = {
-        (n, j): is_induced_involutory(t, n, j)
-        for n in orders
-        for j in range(1, t.k + 1)
-    }
-    ii = all(flags[(2, j)] for j in range(1, t.k + 1))
-    return PropertyProfile(is_symmetric(t), flags, ii)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +330,7 @@ def project_compose(g: Sequence[int], k: int) -> FiniteTable:
     check_state_budget(m, k)
     arr = _symbols(g, m, 1, "self-map values")
     if not np.array_equal(arr[arr], np.arange(m)):
-        raise ValueError("g must satisfy g(g(x)) = x for every x")
+        raise UsageError("g must satisfy g(g(x)) = x for every x")
     return FiniteTable(m, k, np.repeat(arr, m ** (k - 1)))
 
 
@@ -367,7 +342,7 @@ def conjugate(t: FiniteTable, g: Sequence[int]) -> FiniteTable:
     """
     arr = _symbols(g, t.m, 1, "self-map values")
     if np.unique(arr).size != t.m:
-        raise ValueError("g must be a bijection")
+        raise UsageError("g must be a bijection")
     ginv = np.empty_like(arr)
     ginv[arr] = np.arange(t.m)
     grid = t.entries
@@ -408,17 +383,10 @@ def involutions(m: int) -> list[tuple[int, ...]]:
 
 def _telephone(m: int) -> int:
     # T(m) by T(i) = T(i-1) + (i-1) * T(i-2), stopped once the count has
-    # more digits than the interpreter converts to text (0: no limit)
-    digits = sys.get_int_max_str_digits()
-    max_bits = digits * math.log2(10) if digits else math.inf
+    # more digits than the interpreter converts to text
     a, b = 1, 1  # T(0), T(1)
     for i in range(2, m + 1):
-        a, b = b, b + (i - 1) * a
-        if b.bit_length() > max_bits:
-            raise BudgetError(
-                f"T({m}) exceeds the int-to-str digit budget {digits}"
-                " (PYTHONINTMAXSTRDIGITS)"
-            )
+        a, b = b, _printable(b + (i - 1) * a, f"T({m})")
     return b
 
 
@@ -529,7 +497,7 @@ def loads_table(text: str) -> FiniteTable:
             raise ParseError("header must be two integers: m k", ln, 1) from None
         try:
             m, k = _count(m, "m"), _count(k, "k")
-        except ValueError:
+        except UsageError:
             raise ParseError("m and k must both be >= 1", ln, 1) from None
         check_state_budget(m, k)
         break
@@ -583,8 +551,16 @@ def _walk_tokens(data: Iterable[tuple[int, str]], m: int, k: int) -> list[int]:
 
 
 def load_table(path) -> FiniteTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_table(fh.read())
+    """Read a UTF-8 table file; a byte that is not UTF-8 is a :class:`ParseError`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the lines up to the bad byte, which ends the last
+        lines = (raw[: exc.start].decode("utf-8") + "?").splitlines()
+        msg = f"invalid UTF-8 byte 0x{raw[exc.start]:02x}"
+        raise ParseError(msg, len(lines), len(lines[-1])) from None
+    return loads_table(text)
 
 
 def dump_table(t: FiniteTable, path) -> None:

@@ -1,6 +1,7 @@
-"""Counts and states outside the table layer: every count, order, bound and
-arity of the engine, affine, sequence and scalar layers enters through
-``errors._count``, and every state through ``errors._state``.  The table
+"""Counts, positions and states outside the table layer: every count, order,
+bound and arity of the engine, affine, sequence and scalar layers enters
+through ``errors._count``, every argument position of every layer through
+``errors._position``, and every state through ``errors._state``.  The table
 layer's own matrix is ``tests/test_tables.py::TestAdmission``."""
 
 from fractions import Fraction
@@ -20,11 +21,18 @@ from iterk.affine import (
     sum_map_closed_form,
 )
 from iterk.cli import main
-from iterk.engine import KaryMap, first_iterate, iterate, orbit, point_involutory_order
-from iterk.errors import ArityError
+from iterk.engine import (
+    KaryMap,
+    first_iterate,
+    induced_self_map,
+    iterate,
+    orbit,
+    point_involutory_order,
+)
+from iterk.errors import ArityError, UsageError
 from iterk.exactnum import RationalField, cyclotomic_polynomial, fibonacci
 from iterk.recurrence import RecurrenceSpec, augment, consistency_check, generate
-from iterk.tables import FiniteTable, table_iterate, table_point_order
+from iterk.tables import FiniteTable, is_induced_involutory, table_iterate, table_point_order
 
 PAIR_SUM = KaryMap(2, lambda s: s[0] + s[1], name="pair-sum")
 SUCCESSOR = KaryMap(1, lambda s: s[0] + 1, name="successor")
@@ -44,8 +52,14 @@ COUNTS = {
     "affine_iterate": (lambda v: affine_iterate(NEGATED_SUM, (0, 1), v), "iterate count", 0),
     "fibonacci_closed_form": (lambda v: fibonacci_closed_form(v, (0, 1)), "iterate count", 0),
     "sum_map_closed_form": (lambda v: sum_map_closed_form(2, 1, v, (0, 1)), "iterate count", 0),
+    "sum_map_closed_form-arity": (
+        lambda v: sum_map_closed_form(v, 1, 1, (0,) * int(v)), "arity", 1,
+    ),
     "projection_family_iterate": (
         lambda v: projection_family_iterate(lambda x: x + 1, 1, 2, v, (0, 1)), "iterate count", 0,
+    ),
+    "projection_family_iterate-arity": (
+        lambda v: projection_family_iterate(lambda x: x + 1, 1, v, 1, (0,) * int(v)), "arity", 1,
     ),
     "linear_roots_checks": (
         lambda v: linear_roots_checks(3, "full", v, (0, 1)), "iterate count", 0,
@@ -96,9 +110,9 @@ class TestCounts:
     def test_below_the_least_is_one_message(self, entry):
         call, name, least = COUNTS[entry]
         for v in (least - 1, np.int64(least - 2)):
-            with pytest.raises(ValueError) as err:
+            with pytest.raises(UsageError) as err:
                 call(v)
-            assert type(err.value) is ValueError
+            assert type(err.value) is UsageError
             assert str(err.value) == f"{name} must be >= {least}, got {v}"
 
     def test_each_former_disagreement_is_now_the_rule(self):
@@ -122,6 +136,18 @@ class TestCounts:
             with pytest.raises(TypeError):
                 build()
 
+    def test_the_closed_forms_take_their_arity_as_a_count(self):
+        # a map of no arguments returned (), and a float arity failed at a
+        # slice or a range
+        with pytest.raises(UsageError, match="^arity must be >= 1, got 0$"):
+            sum_map_closed_form(0, 1, 5, ())
+        for build in (
+            lambda: sum_map_closed_form(2.0, 1, 1, (0, 1)),
+            lambda: projection_family_iterate(abs, 1, 2.0, 1, (0, 1)),
+        ):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                build()
+
     def test_counts_are_stored_as_ints(self):
         assert type(KaryMap(np.uint8(2), sum).arity) is int
         assert type(AffineMapSpec(np.int64(1), (1,), 0, RationalField()).arity) is int
@@ -139,6 +165,38 @@ class TestCounts:
         argv = ["iterate", *[str(path) if a == "TABLE" else a for a in source]]
         assert main([*argv, "--seed", "0,1", "--n", "-1"]) == 2
         assert capsys.readouterr().err == "error: iterate count must be >= 0, got -1\n"
+
+
+# name -> call with an argument position; each map has arity 2
+POSITIONS = {
+    "induced_self_map": lambda j: induced_self_map(PAIR_SUM, j, (5,))(1),
+    "projection_family_iterate": lambda j: projection_family_iterate(abs, j, 2, 3, (-1, 2)),
+    "is_induced_involutory": lambda j: is_induced_involutory(ADD_MOD3, 3, j),
+}
+
+
+class TestPositions:
+    @pytest.mark.parametrize("entry", POSITIONS)
+    def test_integer_forms_are_ints(self, entry):
+        call = POSITIONS[entry]
+        for j in (1, 2):
+            assert outcome(call, np.int64(j)) == outcome(call, np.uint8(j)) == outcome(call, j)
+        assert outcome(call, True) == outcome(call, 1)
+
+    @pytest.mark.parametrize("entry", POSITIONS)
+    @pytest.mark.parametrize("kind", ["1.0", "Fraction", "str"])
+    def test_other_types_are_type_errors(self, entry, kind):
+        # a position of 1.0 was compared as a number, then failed at a slice
+        with pytest.raises(TypeError):
+            POSITIONS[entry]({"1.0": 1.0, "Fraction": Fraction(1), "str": "1"}[kind])
+
+    @pytest.mark.parametrize("entry", POSITIONS)
+    def test_out_of_range_is_one_message(self, entry):
+        for j in (0, 3, -1, np.int64(3)):
+            with pytest.raises(ArityError) as err:
+                POSITIONS[entry](j)
+            assert type(err.value) is ArityError
+            assert str(err.value) == f"argument position {j} out of range 1..2"
 
 
 # name -> call on a state; each map has arity 2

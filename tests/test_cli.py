@@ -478,6 +478,10 @@ class TestErrorPaths:
              "target arity must exceed the original arity 2, got 0"),
             (("augment", "--def", "f(x1)=x1", "--to", "0"),
              "--seed is required when augmenting a definition"),
+            (("check-ii", "--table", "{t}", "--n", "2", "--arg", "9"),
+             "argument position 9 out of range 1..2"),
+            (("check-ii", "--table", "{t}", "--n", "2", "--arg", "0"),
+             "argument position 0 out of range 1..2"),
         ],
     )
     def test_usage_errors_name_no_source_position(self, capsys, table_path, argv, message):
@@ -498,6 +502,17 @@ class TestErrorPaths:
     def test_literal_errors_name_the_literal_position(self, capsys, table_path, argv, message):
         argv = [a.format(t=table_path) for a in argv]
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_a_library_value_error_is_a_bug(self, capsys, monkeypatch, table_path):
+        # only iterk's own error classes are the caller's; anything else
+        # propagates with its traceback
+        def broken(*args, **kwargs):
+            raise ValueError("internal invariant broke")
+
+        monkeypatch.setattr(iterk.tables, "cycle_report", broken)
+        with pytest.raises(ValueError, match="internal invariant broke"):
+            main(["cycles", "--table", table_path])
+        assert capsys.readouterr().err == ""
 
     def test_parse_error_exit(self, capsys):
         code, _, err = run_cli(
@@ -524,6 +539,80 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "cycles", "--table", str(p))
         assert code == 3 and "1000000**1000000 states" in err
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.fixture
+def digit_limit():
+    # the interpreter's default int-to-str limit, whatever PYTHONINTMAXSTRDIGITS says
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+NINES = "9" * 3000  # each of the two factors fits the limit, their product does not
+
+
+class TestDigitLimit:
+    """Input that reaches the interpreter's int-to-str digit limit is still one
+    error line: a number to print exits 3, a literal to read exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("iterate", "--def", "f(x1,x2)=x1+x2", "--seed", "1,1", "--n", "12000"),
+            ("iterate", "--def", "f(x1,x2)=x1+x2", "--seed", "1,1", "--n", "12000", "--json"),
+            ("orbit", "--def", "f(x1)=x1*x1", "--seed", "2", "--max-steps", "16"),
+            ("orbit", "--def", "f(x1)=x1*zeta(3)", "--seed", f"{NINES}*{NINES}", "--json"),
+            ("augment", "--def", "f(x1)=x1*x1", "--seed", f"1/{NINES},0", "--to", "2"),
+            ("point-order", "--table", "{t}", "--seed", f"0,{NINES}*{NINES}"),
+            ("point-order", "--table", "{t}", "--seed", f"0,1/{NINES}*1/{NINES}"),
+        ],
+    )
+    def test_a_number_past_the_limit_exits_three(self, capsys, digit_limit, table_path, argv):
+        argv = [a.format(t=table_path) for a in argv]
+        assert run_cli(capsys, *argv) == (3, "", (
+            f"error: a number to print exceeds the int-to-str digit budget {digit_limit}"
+            " (PYTHONINTMAXSTRDIGITS)\n"
+        ))
+
+    def test_a_number_at_the_limit_prints(self, capsys, digit_limit):
+        top = "9" * digit_limit
+        code, out, err = run_cli(capsys, "iterate", "--def", "f(x1)=x1", "--seed", top, "--n", "0")
+        assert (code, out, err) == (0, top + "\n", "")
+        code, _, err = run_cli(
+            capsys, "iterate", "--def", "f(x1)=x1", "--seed", f"-{top} - 1", "--n", "0"
+        )
+        assert code == 3 and "PYTHONINTMAXSTRDIGITS" in err
+
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (("iterate", "--def", "f(x1)=LONG*x1", "--seed", "1", "--n", "1"), "1:7"),
+            (("iterate", "--def", "f(x1)=1/LONG + x1", "--seed", "1", "--n", "1"), "1:9"),
+            (("iterate", "--def", "f(x1)=xLONG", "--seed", "1", "--n", "1"), "1:8"),
+            (("order", "--def", "f(x1)=zeta(LONG)*x1"), "1:12"),
+            (("order", "--def", "f(x1)=zeta(3)^LONG*x1"), "1:15"),
+            (("iterate", "--def", "f(x1)=x1", "--seed", "LONG", "--n", "1"), "1:1"),
+            (("iterate", "--table", "{t}", "--seed", "0, 2/LONG", "--n", "1"), "1:6"),
+        ],
+    )
+    def test_a_literal_past_the_limit_is_a_parse_error(
+        self, capsys, digit_limit, table_path, argv, where
+    ):
+        long = "1" * (digit_limit + 1)
+        argv = [a.format(t=table_path).replace("LONG", long) for a in argv]
+        assert run_cli(capsys, *argv) == (2, "", (
+            f"error: {where}: integer literal of {digit_limit + 1} digits exceeds the"
+            f" int-to-str digit budget {digit_limit} (PYTHONINTMAXSTRDIGITS)\n"
+        ))
+
+    def test_a_table_file_that_is_not_utf8_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.tbl"
+        path.write_bytes("# caf\u00e9 table\n3 2\n0 1 2 1 2 0 2 0 1\n".encode("latin-1"))
+        assert run_cli(capsys, "cycles", "--table", str(path)) == (
+            2, "", "error: 1:6: invalid UTF-8 byte 0xe9\n"
+        )
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from iterk.affine import AffineMapSpec
 from iterk.engine import (
-    InducedContext,
     KaryMap,
     first_iterate,
     induced_self_map,
@@ -196,12 +195,12 @@ class TestFirstReturnWalk:
 
 class TestInducedSelfMap:
     def test_mod3_column_cycle(self):
-        g = induced_self_map(ADD_MOD3.as_map(), InducedContext(1, (2,)))
+        g = induced_self_map(ADD_MOD3.as_map(), 1, (2,))
         assert (g(2), g(1), g(0)) == (1, 0, 2)
         assert all(g(g(g(x))) == x for x in range(3))
 
     def test_pair_sum_with_zero_context_is_identity(self):
-        g = induced_self_map(pair_sum(), InducedContext(2, (Fraction(0),)))
+        g = induced_self_map(pair_sum(), 2, (Fraction(0),))
         for x in (Fraction(3, 7), Fraction(-2), Fraction(0)):
             assert g(x) == x
 
@@ -210,15 +209,15 @@ class TestInducedSelfMap:
         a, b = fld.zeta(), fld.zeta(2)
         f = KaryMap(2, lambda s: a * s[0] + b * s[1])
         x2 = fld.coerce(Fraction(5, 3)) + fld.zeta()
-        g = induced_self_map(f, InducedContext(1, (x2,)))
+        g = induced_self_map(f, 1, (x2,))
         for x1 in (fld.one(), fld.zeta(), fld.coerce(-2)):
             assert g(g(g(x1))) == x1
 
     def test_position_validation(self):
         with pytest.raises(ArityError):
-            induced_self_map(pair_sum(), InducedContext(3, (1,)))
+            induced_self_map(pair_sum(), 3, (1,))
         with pytest.raises(ArityError):
-            induced_self_map(pair_sum(), InducedContext(1, (1, 2)))
+            induced_self_map(pair_sum(), 1, (1, 2))
 
 
 @st.composite

@@ -17,13 +17,13 @@ import iterk
 SRC = Path(iterk.__file__).resolve().parent.parent
 DATA = SRC / "iterk" / "data"
 
-# the names the package exported when its __init__ imported them eagerly
+# the names the package exports, first pinned when its __init__ imported them eagerly
 EXPORTED = set("""
     AffineFirstIterate AffineMapSpec ArityError BudgetError CorrespondenceReport
     CorrespondenceRow CycleFinding CycleReport CycloPolynomial CyclotomicField
-    CyclotomicNumber FiniteTable InducedContext KaryMap MapDef NonAffineError Orbit
-    ParseError PropertyProfile RationalField RecurrenceSpec ResidualSummary
-    SweepTallies affine_involutory_order affine_iterate as_permutation augment
+    CyclotomicNumber FiniteTable KaryMap MapDef NonAffineError Orbit ParseError
+    RationalField RecurrenceSpec ResidualSummary SweepTallies UsageError
+    affine_involutory_order affine_iterate as_permutation augment
     build_first_iterate conjugate consistency_check count_involutions
     count_involutions_brute cycle_correspondence_report cycle_correspondence_sweep
     cycle_report cyclotomic_polynomial decreasing_involution_residuals
@@ -32,7 +32,7 @@ EXPORTED = set("""
     is_induced_involutory is_n_involutory is_symmetric iter_all_tables iterate
     join_fields linear_roots_checks load_table loads_table orbit parse_cyclo
     parse_map_def parse_scalar parse_seed point_involutory_order project_compose
-    projection_family_iterate property_profile render render_def roots_map_spec
+    projection_family_iterate render render_def roots_map_spec
     state_from_index state_index sum_map_closed_form table_iterate to_affine
     to_kary_map
 """.split())

@@ -1,8 +1,9 @@
 """Library source checks: results must not change under ``python -O``, only
-the package's lazy attributes decide which iterk modules load, and each text
-format has one reader."""
+the package's lazy attributes decide which iterk modules load, each text
+format has one reader, and each kind of input one admission rule."""
 
 import ast
+import re
 from pathlib import Path
 
 import iterk
@@ -35,6 +36,13 @@ def test_library_raises_no_assertion_error():
     assert found == []
 
 
+def test_library_raises_no_bare_value_error():
+    # a caller's bad input is an errors.UsageError, which the CLI reports; a
+    # bare ValueError from the library would read as a bug
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if _raises(node, "ValueError")]
+    assert found == []
+
+
 def test_only_the_package_imports_iterk_modules_inside_functions():
     # a module reaches an optional iterk module as an attribute of the
     # package (``iterk.affine``), which imports it on first use
@@ -64,7 +72,8 @@ def test_only_the_two_text_readers_raise_parse_errors():
 
 def test_budget_errors_are_raised_in_three_functions():
     # every work cost is refused through tables.check_budget; the other two
-    # are the printable-digit guard on T(m) and the root-order cap
+    # are the digit rule on every printed int (T(m) and the CLI's numbers)
+    # and the root-order cap
     found = {
         f"{name}:{fn.name}"
         for name, fn in _nodes()
@@ -73,7 +82,7 @@ def test_budget_errors_are_raised_in_three_functions():
         if _raises(node, "BudgetError")
     }
     assert found == {
-        "tables.py:check_budget", "tables.py:_telephone", "exactnum.py:cyclotomic_polynomial"
+        "tables.py:check_budget", "errors.py:_printable", "exactnum.py:cyclotomic_polynomial"
     }
 
 
@@ -89,9 +98,8 @@ def test_inputs_enter_through_one_rule_each():
     # arity against its least value, only errors._state checks a state's
     # length, and in tables.py only _symbols casts to int64 (recurrence casts
     # state indices it computed, not inputs).  The CLI words its own --seed
-    # check, and four checks compare with 0 for other reasons: a table's
-    # negative iterates need a bijective map, and _h, _g and the bisection
-    # bracket are about floats
+    # check, and three checks compare with 0 for other reasons: a table's
+    # negative iterates need a bijective map, and _h and _g are about floats
     def below(node):  # a name compared below 0 or 1
         return isinstance(node, ast.Compare) and isinstance(node.left, (ast.Name, ast.Attribute)) and any(
             isinstance(op, (ast.Lt, ast.LtE)) and isinstance(right, ast.Constant) and right.value in (0, 1)
@@ -130,14 +138,33 @@ def test_inputs_enter_through_one_rule_each():
             if int64_cast(node) and name == "tables.py":
                 found["cast"].add(where)
     assert found == {
-        "below": {
-            "tables.py:table_iterate", "affine.py:_h", "affine.py:_g",
-            "affine.py:decreasing_involution_fixed_point",
-        },
+        "below": {"tables.py:table_iterate", "affine.py:_h", "affine.py:_g"},
         "raised": {"errors.py:_count"},
         "length": {"errors.py:_state", "cli.py:_seed"},
         "cast": {"tables.py:_symbols"},
     }
+
+
+def test_only_errors_position_checks_an_argument_position():
+    # a position is checked as a range lo <= j <= arity.  The grammar checks
+    # its own variables x1..xk, as a ParseError at the variable's position
+    def range_to_arity(node):
+        return (
+            isinstance(node, ast.Compare)
+            and len(node.ops) == 2
+            and re.fullmatch(r"(\w+\.)?(arity|k)", ast.unparse(node.comparators[-1])) is not None
+        )
+
+    found = {
+        f"{name}:{fn.name}"
+        for name, fn in _nodes()
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.If)
+        and any(isinstance(b, ast.Raise) and not _raises(b, "ParseError") for b in node.body)
+        and any(range_to_arity(n) for n in ast.walk(node.test))
+    }
+    assert found == {"errors.py:_position"}
 
 
 def test_integer_trial_division_is_one_function():

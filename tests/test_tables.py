@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterk import _kernels, tables
-from iterk.engine import InducedContext, first_iterate, induced_self_map, point_involutory_order
+from iterk.engine import first_iterate, induced_self_map, point_involutory_order
 from iterk.errors import BudgetError, ParseError
 from iterk.recurrence import augment_table, cycle_correspondence_sweep
 from iterk.tables import (
@@ -34,9 +34,9 @@ from iterk.tables import (
     is_n_involutory,
     is_symmetric,
     iter_all_tables,
+    load_table,
     loads_table,
     project_compose,
-    property_profile,
     state_from_index,
     state_index,
     table_iterate,
@@ -643,7 +643,7 @@ class TestInducedInvolutory:
             f = t.as_map()
             for pos in [j] if j else range(1, t.k + 1):
                 for fixed in itertools.product(range(t.m), repeat=t.k - 1):
-                    g = induced_self_map(f, InducedContext(pos, fixed))
+                    g = induced_self_map(f, pos, fixed)
                     for x in range(t.m):
                         v = x
                         for _ in range(n):
@@ -684,13 +684,6 @@ class TestInducedInvolutory:
         for t in cases:
             for n in orders:
                 assert is_induced_involutory(t, n) == reference(t, n), (t, n)
-
-    def test_profile_ii_flag_matches_per_argument_flags(self):
-        for t in (ADD_MOD3, II3_M4, hat_id(2, 2)):
-            prof = property_profile(t)
-            assert prof.ii == all(
-                prof.ii_orders[(2, j)] for j in range(1, t.k + 1)
-            )
 
 
 class TestSymmetry:
@@ -1111,6 +1104,28 @@ class TestTextFormat:
     def test_comments_and_whitespace(self):
         t = loads_table("# heading\n  3 2\n0 1 2 1 2 0\n# middle\n2 0 1\n")
         assert t == ADD_MOD3
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_file_line_breaks(self, tmp_path, newline):
+        path = tmp_path / "t.tbl"
+        path.write_bytes(newline.join([b"# sum mod 3", b"3 2", b"0 1 2", b"1 2 0", b"2 0 1", b""]))
+        assert load_table(path) == ADD_MOD3
+
+    @pytest.mark.parametrize(
+        "raw, message, line, column",
+        [
+            (b"3 2\n0 1 2\n1 2 \xff0\n2 0 1\n", "invalid UTF-8 byte 0xff", 3, 5),
+            (b"\xfe3 2\n", "invalid UTF-8 byte 0xfe", 1, 1),
+            # columns count characters, and "\xc3\xa9" is one
+            (b"# caf\xc3\xa9 \xe9\r\n3 2\n", "invalid UTF-8 byte 0xe9", 1, 8),
+        ],
+    )
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, tmp_path, raw, message, line, column):
+        path = tmp_path / "t.tbl"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as err:
+            load_table(path)
+        assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
 
     def test_malformed_header(self):
         with pytest.raises(ParseError):
